@@ -105,21 +105,30 @@ fn transfer_loop(n: u64) -> u64 {
 }
 
 /// The engine hot path: a self-rescheduling tick chain dispatched
-/// `n` times. The engine holds its tracer as a field, so a disabled
-/// sink costs exactly one branch per dispatch.
+/// `n` times on a one-shard [`popper_sim::ShardedSim`], the engine
+/// every sim world runs on. The engine holds its tracer as a field, so
+/// a disabled sink costs exactly one branch per dispatch.
 fn dispatch_loop(tracer: Option<popper_trace::Tracer>, n: u64) -> u64 {
-    use popper_sim::{Nanos, Sim};
-    fn tick(s: &mut Sim<u64>) {
-        s.world = s.world.wrapping_mul(6364136223846793005).wrapping_add(1);
-        s.schedule_in(Nanos(1 + (s.world >> 60)), tick);
+    use popper_sim::{Nanos, ShardCtx, ShardedSim};
+    /// The world is an LCG state and the number of ticks still to fire.
+    fn tick(ctx: &mut ShardCtx<'_, (u64, u64)>) {
+        let (x, left) = ctx.state();
+        *x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        *left -= 1;
+        if *left > 0 {
+            let delay = Nanos(1 + (*x >> 60));
+            ctx.schedule_in(delay, tick);
+        }
     }
-    let mut sim: Sim<u64> = Sim::new(0x9e3779b9);
+    let mut sim = ShardedSim::new(vec![(0x9e3779b9, n)], Nanos::MAX);
     if let Some(t) = tracer {
         sim.set_tracer(t);
     }
-    sim.schedule_in(Nanos(1), tick);
-    sim.run_capped(n);
-    sim.world
+    if n > 0 {
+        sim.schedule(0, Nanos(1), tick);
+    }
+    sim.run();
+    sim.state(0).0
 }
 
 /// The fabric admit path under an optionally-active fault plane. With

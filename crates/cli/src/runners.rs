@@ -837,7 +837,8 @@ mod tests {
     #[test]
     fn sharded_chaos_runners_are_worker_count_invariant() {
         type Runner = fn(&Value) -> Result<Table, String>;
-        let cases: [(&str, Runner, Vec<(&str, i64)>); 4] = [
+        type Case = (&'static str, Runner, Vec<(&'static str, i64)>);
+        let cases: [Case; 4] = [
             ("lulesh-sharded", lulesh_sharded_runner, vec![("elements", 4), ("iterations", 10), ("nodes", 8)]),
             ("gassyfs-sharded", gassyfs_sharded_runner, vec![("nodes", 6), ("pages", 48)]),
             ("orchestra-sharded", orchestra_sharded_runner, vec![("hosts", 6), ("tasks", 6), ("nodes", 6)]),
@@ -855,8 +856,8 @@ mod tests {
                 assert_eq!(row.get("corrupt").and_then(Value::as_num), Some(0.0), "{name}");
             }
             assert!(
-                serial.iter().any(|r| r.get("detections").map_or(true, |d| d.as_num() != Some(0.0))
-                    || r.get("requeued").map_or(true, |d| d.as_num() != Some(0.0))),
+                serial.iter().any(|r| r.get("detections").is_none_or(|d| d.as_num() != Some(0.0))
+                    || r.get("requeued").is_none_or(|d| d.as_num() != Some(0.0))),
                 "{name}: mid-run faults must be observed"
             );
             for workers in [2, 8] {

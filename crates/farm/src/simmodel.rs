@@ -17,7 +17,7 @@
 //! the same deterministic-hash idiom the farm's chaos projection uses —
 //! so the model is a pure function of its config at every worker count.
 
-use popper_sim::{FabricSim, Nanos, NetCtx};
+use popper_sim::{recovery_ms, retry_backoff, FabricSim, Nanos, NetCtx, MAX_ATTEMPTS};
 
 /// Shard 0 is the store; tenant `t` (0-based) is shard `t + 1`.
 const STORE: usize = 0;
@@ -178,14 +178,6 @@ fn run_job(ctx: &mut NetCtx<'_, '_, FarmShard>, job: usize, cfg: std::sync::Arc<
 // ---- chaos variant: the same tenant pipelines under a scheduled ----
 // ---- fault timeline, with archive requeue on store failures     ----
 
-/// Archive attempts before a tenant abandons the upload.
-const MAX_ATTEMPTS: usize = 12;
-
-/// Requeue backoff: 1, 2, 4, ... ms, capped at 32 ms.
-fn backoff(attempt: usize) -> Nanos {
-    Nanos::from_millis(1 << attempt.min(5))
-}
-
 /// What one shard models in the chaos run.
 enum ChaosFarmShard {
     Store {
@@ -315,10 +307,7 @@ pub fn simulate_chaos(
             }
         }
     }
-    let recovery_ms = match first_fail {
-        Some(f) if last_recovery > f => (last_recovery - f).0 as f64 / 1e6,
-        _ => 0.0,
-    };
+    let recovery_ms = recovery_ms(first_fail, last_recovery);
     let jobs = (config.tenants * config.jobs_per_tenant) as u64;
     FarmChaosSimReport {
         tenant_finish,
@@ -399,7 +388,7 @@ fn ship_archive(ctx: &mut FarmChaosCtx<'_, '_>, tenant: usize, job: usize, attem
                 *lost += 1;
                 return;
             }
-            c.schedule_in(backoff(attempt), move |cc| {
+            c.schedule_in(retry_backoff(attempt), move |cc| {
                 ship_archive(cc, tenant, job, attempt + 1, &retry_cfg)
             });
         },

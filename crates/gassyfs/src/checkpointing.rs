@@ -5,8 +5,10 @@
 //! into a classic trade-off — checkpoint often and pay overhead, or
 //! rarely and risk losing work when a node dies. This study drives a
 //! write workload and a periodic stop-the-world checkpoint daemon as
-//! *concurrent processes on the discrete-event engine*
-//! ([`popper_sim::Sim`]), sweeping the interval.
+//! *concurrent processes on the discrete-event engine*, sweeping the
+//! interval. The whole world is one shard of a
+//! [`popper_sim::ShardedSim`] with a [`Nanos::MAX`] lookahead: nothing
+//! crosses shards, so each run completes in a single epoch.
 //!
 //! Two effects fall out:
 //!
@@ -18,7 +20,7 @@
 use crate::fs::{GassyFs, MountOptions};
 use crate::vfs::FsError;
 use popper_format::{Table, Value};
-use popper_sim::{platforms, Cluster, Nanos, Sim};
+use popper_sim::{platforms, Cluster, Nanos, ShardCtx, ShardedSim};
 use popper_store::ChunkStore;
 
 /// Study configuration.
@@ -89,48 +91,44 @@ struct World {
     error: Option<FsError>,
 }
 
-fn write_next(sim: &mut Sim<World>) {
-    if sim.world.error.is_some() {
+fn write_next(ctx: &mut ShardCtx<'_, World>) {
+    let now = ctx.now();
+    let w = ctx.state();
+    if w.error.is_some() {
         return;
     }
-    let now = sim.now().max(sim.world.busy_until);
-    let i = sim.world.next_file;
-    if i >= sim.world.files {
-        let done = sim.now();
-        sim.world.done_at = Some(sim.world.done_at.map_or(done, |d: Nanos| d.max(done)));
+    let i = w.next_file;
+    if i >= w.files {
+        w.done_at = Some(w.done_at.map_or(now, |d: Nanos| d.max(now)));
         return;
     }
-    sim.world.next_file += 1;
-    let data = vec![(i % 251) as u8; sim.world.file_bytes];
-    match sim.world.fs.write_file(&format!("/work/f{i}"), &data, now) {
-        Ok(done) => {
-            // Chain the next write at this one's completion.
-            sim.schedule_at(done, write_next);
-        }
-        Err(e) => sim.world.error = Some(e),
+    w.next_file += 1;
+    let data = vec![(i % 251) as u8; w.file_bytes];
+    match w.fs.write_file(&format!("/work/f{i}"), &data, now.max(w.busy_until)) {
+        // Chain the next write at this one's completion.
+        Ok(done) => ctx.schedule_at(done, write_next),
+        Err(e) => w.error = Some(e),
     }
 }
 
-fn checkpoint_tick(interval: Nanos) -> impl Fn(&mut Sim<World>) + Clone + 'static {
-    move |sim: &mut Sim<World>| {
-        if sim.world.done_at.is_some() || sim.world.error.is_some() {
-            return; // workload finished; daemon stops
+fn checkpoint_tick(ctx: &mut ShardCtx<'_, World>, interval: Nanos) {
+    let now = ctx.now();
+    let w = ctx.state();
+    if w.done_at.is_some() || w.error.is_some() {
+        return; // workload finished; daemon stops
+    }
+    let start = now.max(w.busy_until);
+    match w.fs.checkpoint(&mut w.durable, start) {
+        Ok((_manifests, done)) => {
+            w.busy_until = done;
+            w.checkpoints += 1;
+            w.pause_total += done.saturating_sub(start);
+            let window = done.saturating_sub(w.last_ckpt_done);
+            w.worst_loss_window = w.worst_loss_window.max(window);
+            w.last_ckpt_done = done;
+            ctx.schedule_at(done + interval, move |c| checkpoint_tick(c, interval));
         }
-        let start = sim.now().max(sim.world.busy_until);
-        let World { fs, durable, .. } = &mut sim.world;
-        match fs.checkpoint(durable, start) {
-            Ok((_manifests, done)) => {
-                sim.world.busy_until = done;
-                sim.world.checkpoints += 1;
-                sim.world.pause_total += done.saturating_sub(start);
-                let window = done.saturating_sub(sim.world.last_ckpt_done);
-                sim.world.worst_loss_window = sim.world.worst_loss_window.max(window);
-                sim.world.last_ckpt_done = done;
-                let tick = checkpoint_tick(interval);
-                sim.schedule_at(done + interval, move |s| tick(s));
-            }
-            Err(e) => sim.world.error = Some(e),
-        }
+        Err(e) => w.error = Some(e),
     }
 }
 
@@ -153,29 +151,29 @@ pub fn run_one(study: &CheckpointStudy, interval: Option<Nanos>) -> Result<Check
         done_at: None,
         error: None,
     };
-    let mut sim = Sim::new(world);
-    sim.schedule_at(Nanos::ZERO, write_next);
+    let mut sim = ShardedSim::new(vec![world], Nanos::MAX);
+    sim.schedule(0, Nanos::ZERO, write_next);
     if let Some(iv) = interval {
-        let tick = checkpoint_tick(iv);
-        sim.schedule_at(iv, move |s| tick(s));
+        sim.schedule(0, iv, move |c| checkpoint_tick(c, iv));
     }
     sim.run();
-    if let Some(e) = sim.world.error {
+    let w = sim.state_mut(0);
+    if let Some(e) = w.error.take() {
         return Err(e);
     }
-    let completion = sim.world.done_at.expect("workload finished");
-    let worst = if sim.world.checkpoints == 0 {
+    let completion = w.done_at.expect("workload finished");
+    let worst = if w.checkpoints == 0 {
         completion
     } else {
         // Tail window: work after the last checkpoint is also at risk.
-        sim.world.worst_loss_window.max(completion.saturating_sub(sim.world.last_ckpt_done))
+        w.worst_loss_window.max(completion.saturating_sub(w.last_ckpt_done))
     };
-    let stats = sim.world.durable.stats();
+    let stats = w.durable.stats();
     Ok(CheckpointPoint {
         interval,
         completion,
-        checkpoints: sim.world.checkpoints,
-        pause_total: sim.world.pause_total,
+        checkpoints: w.checkpoints,
+        pause_total: w.pause_total,
         worst_loss_window: worst,
         durable_stored_bytes: stats.stored_bytes,
         durable_ingested_bytes: stats.ingested_bytes,

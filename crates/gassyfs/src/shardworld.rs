@@ -19,7 +19,7 @@
 //! identical at every worker count.
 
 use crate::gasnet::PAGE_SIZE;
-use popper_sim::{FabricSim, Nanos, NetCtx, NodeTraffic, PlatformSpec};
+use popper_sim::{recovery_ms, retry_backoff, FabricSim, Nanos, NetCtx, MAX_ATTEMPTS, NodeTraffic, PlatformSpec};
 
 /// Size of the replica's acknowledgement back to the client.
 const CTRL_BYTES: u64 = 64;
@@ -153,15 +153,6 @@ fn write_next(ctx: &mut NetCtx<'_, '_, NodeState>, total: u64) {
 // ---- timeline, with the gasnet store's replica failover ported  ----
 // ---- onto the sharded world                                     ----
 
-/// Write attempts per page before the client declares it lost.
-const MAX_ATTEMPTS: usize = 12;
-
-/// Retry backoff: 1, 2, 4, ... ms, capped at 32 ms — generous enough
-/// that any schedule ending healed is outlasted.
-fn backoff(attempt: usize) -> Nanos {
-    Nanos::from_millis(1 << attempt.min(5))
-}
-
 /// Per-node state of the chaos run: the healthy world's placement
 /// counters plus failure bookkeeping.
 struct ChaosNodeState {
@@ -280,10 +271,7 @@ pub fn run_sharded_chaos(
     let first_fail =
         sim.states().filter_map(|s| s.first_fail).min();
     let last_recovery = sim.states().map(|s| s.last_recovery).max().unwrap_or(Nanos::ZERO);
-    let recovery_ms = match first_fail {
-        Some(f) if last_recovery > f => (last_recovery - f).0 as f64 / 1e6,
-        _ => 0.0,
-    };
+    let recovery_ms = recovery_ms(first_fail, last_recovery);
     let client = sim.state(0);
     let (completed, degraded, lost) = (client.completed, client.degraded, client.lost);
     ShardedGassyChaosReport {
@@ -364,7 +352,7 @@ fn write_page(
                 },
                 move |cc, u2| {
                     cc.state().note_fail(u2.gave_up_at);
-                    cc.schedule_in(backoff(attempt), move |c3| {
+                    cc.schedule_in(retry_backoff(attempt), move |c3| {
                         write_page(c3, page, attempt + 1, true, total, pace)
                     });
                 },
@@ -424,7 +412,7 @@ fn send_ack(ctx: &mut ChaosCtx<'_, '_>, degraded: bool, total: u64, pace: Nanos,
         },
         move |c, u| {
             c.state().note_fail(u.gave_up_at);
-            c.schedule_in(backoff(attempt), move |cc| {
+            c.schedule_in(retry_backoff(attempt), move |cc| {
                 send_ack(cc, degraded, total, pace, attempt + 1)
             });
         },

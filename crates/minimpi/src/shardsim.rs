@@ -24,7 +24,7 @@
 
 use crate::lulesh::LuleshConfig;
 use popper_sim::shard::partition;
-use popper_sim::{FabricSim, Nanos, NetCtx, PlatformSpec};
+use popper_sim::{recovery_ms, retry_backoff, FabricSim, Nanos, NetCtx, MAX_ATTEMPTS, PlatformSpec};
 
 /// Per-rank (per-shard) state of the sharded proxy.
 struct RankState {
@@ -154,16 +154,9 @@ fn try_advance(ctx: &mut NetCtx<'_, '_, RankState>, step: usize, timing: std::sy
 
 // ---- chaos variant: the same compute / halo loop under a scheduled ----
 // ---- fault timeline, with MPI-style retry/backoff on halo sends    ----
-
-/// Halo send attempts before the sender abandons the face. Shrinking
-/// the communicator on an unrecoverable loss stays serial-only for
-/// now; the sharded proxy models a down NIC, not a dead subdomain.
-const MAX_ATTEMPTS: usize = 12;
-
-/// Retry backoff: 1, 2, 4, ... ms, capped at 32 ms.
-fn backoff(attempt: usize) -> Nanos {
-    Nanos::from_millis(1 << attempt.min(5))
-}
+//
+// Shrinking the communicator on an unrecoverable loss stays serial-only
+// for now; the sharded proxy models a down NIC, not a dead subdomain.
 
 /// Per-rank state of the chaos run.
 struct ChaosRankState {
@@ -281,10 +274,7 @@ pub fn run_sharded_chaos(
     let wire_bytes = sim.total_bytes();
     let first_fail = sim.states().filter_map(|s| s.first_fail).min();
     let last_recovery = sim.states().map(|s| s.last_recovery).max().unwrap_or(Nanos::ZERO);
-    let recovery_ms = match first_fail {
-        Some(f) if last_recovery > f => (last_recovery - f).0 as f64 / 1e6,
-        _ => 0.0,
-    };
+    let recovery_ms = recovery_ms(first_fail, last_recovery);
     let degraded: u64 = sim.states().map(|s| s.degraded).sum();
     let lost: u64 = sim.states().map(|s| s.lost).sum();
     ShardedLuleshChaosRun {
@@ -364,7 +354,7 @@ fn ship_halo(
                 state.lost += 1;
                 return;
             }
-            c.schedule_in(backoff(attempt), move |cc| {
+            c.schedule_in(retry_backoff(attempt), move |cc| {
                 ship_halo(cc, nb, step, attempt + 1, horizon, retry_timing)
             });
         },

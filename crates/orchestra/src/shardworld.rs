@@ -18,7 +18,7 @@
 //! per-host busy time, traffic counters and trace bytes are identical
 //! at every worker count.
 
-use popper_sim::{FabricSim, Nanos, NetCtx, NodeTraffic};
+use popper_sim::{recovery_ms, retry_backoff, FabricSim, Nanos, NetCtx, MAX_ATTEMPTS, NodeTraffic};
 
 /// The controller owns shard 0; host `h` (1-based id) is shard `h`.
 const CONTROLLER: usize = 0;
@@ -220,14 +220,6 @@ fn collect_ack(
 // ---- chaos variant: the linear strategy under a scheduled-fault ----
 // ---- timeline, with per-RPC retry/backoff                       ----
 
-/// RPC attempts (task push or result ack) before the sender gives up.
-const MAX_ATTEMPTS: usize = 12;
-
-/// Retry backoff: 1, 2, 4, ... ms, capped at 32 ms.
-fn backoff(attempt: usize) -> Nanos {
-    Nanos::from_millis(1 << attempt.min(5))
-}
-
 /// Failure bookkeeping shared by the controller and host shards.
 #[derive(Default)]
 struct Chaos {
@@ -383,10 +375,7 @@ pub fn run_sharded_chaos(
     };
     let first_fail = sim.states().filter_map(|s| chaos_of(s).0).min();
     let last_recovery = sim.states().map(|s| chaos_of(s).1).max().unwrap_or(Nanos::ZERO);
-    let recovery_ms = match first_fail {
-        Some(f) if last_recovery > f => (last_recovery - f).0 as f64 / 1e6,
-        _ => 0.0,
-    };
+    let recovery_ms = recovery_ms(first_fail, last_recovery);
     let rpcs = 2 * (config.hosts * config.tasks) as u64;
     ShardedOrchestraChaosReport {
         elapsed,
@@ -464,7 +453,7 @@ fn send_task(
                 resolve_rpc(c, horizon, retry_cfg);
                 return;
             }
-            c.schedule_in(backoff(attempt), move |cc| {
+            c.schedule_in(retry_backoff(attempt), move |cc| {
                 send_task(cc, host, task, attempt + 1, horizon, retry_cfg)
             });
         },
@@ -506,7 +495,7 @@ fn send_ack(ctx: &mut OrchChaosCtx<'_, '_>, attempt: usize, horizon: Nanos, cfg:
                 return; // The playbook stalls on this task — the
                         // corruption shows up as a missing finish.
             }
-            c.schedule_in(backoff(attempt), move |cc| {
+            c.schedule_in(retry_backoff(attempt), move |cc| {
                 send_ack(cc, attempt + 1, horizon, retry_cfg)
             });
         },

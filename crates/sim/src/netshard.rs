@@ -290,6 +290,28 @@ impl<S: Send + 'static> EpochStage<NetShard<S>> for FabricStage {
     }
 }
 
+/// Send attempts a chaos world makes before it abandons a message (a
+/// halo face, a page write, an RPC, an archive upload).
+pub const MAX_ATTEMPTS: usize = 12;
+
+/// The wait before re-sending after failed attempt number `attempt`
+/// (counting from 0): 1, 2, 4, ... ms, capped at 32 ms. Across
+/// [`MAX_ATTEMPTS`] that is generous enough to outlast any fault
+/// schedule that ends healed.
+pub fn retry_backoff(attempt: usize) -> Nanos {
+    Nanos::from_millis(1 << attempt.min(5))
+}
+
+/// A chaos run's recovery time in milliseconds: from the first failed
+/// send to the last recovered one, or 0 when nothing failed or nothing
+/// recovered after the first failure.
+pub fn recovery_ms(first_fail: Option<Nanos>, last_recovery: Nanos) -> f64 {
+    match first_fail {
+        Some(f) if last_recovery > f => (last_recovery - f).0 as f64 / 1e6,
+        _ => 0.0,
+    }
+}
+
 /// The view a fabric-world event gets: the user state, the local clock,
 /// local scheduling, and fabric transfers.
 pub struct NetCtx<'a, 'b, S> {

@@ -14,8 +14,8 @@
 //! experiment re-executes exactly"): regardless of how many workers run
 //! an epoch or how the OS interleaves them,
 //!
-//! * each shard fires its own events in `(time, seq)` order, exactly as
-//!   the single-queue [`Sim`](crate::Sim) would;
+//! * each shard fires its own events in `(time, seq)` order, so events
+//!   at equal times fire in the order they were scheduled;
 //! * cross-shard messages are buffered in per-shard outboxes and merged
 //!   at the epoch boundary in a fixed `(epoch, source shard, send
 //!   seq)` order, so destination queues are populated identically on
@@ -24,23 +24,32 @@
 //!   coordinating thread in shard order, so the recorded trace is
 //!   byte-identical to the single-threaded reference execution.
 //!
+//! Both execution paths share one barrier, `epoch_boundary`: the
+//! serial reference hands it the shards directly, the parallel
+//! coordinator hands it the shards it has locked. A single shard with a
+//! [`Nanos::MAX`] lookahead is the plain single-queue simulator: it
+//! runs to completion in one epoch.
+//!
 //! The property tests at the bottom (and `tests/sim_shard.rs` at the
 //! workspace root) pin `run()` ≡ `run_sharded(n)` for every `n`.
 
 use crate::network::Fabric;
 use crate::time::Nanos;
 use popper_trace::Tracer;
+use std::borrow::{Borrow, BorrowMut};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Barrier, Mutex};
 
-/// How many shard-local dispatches between `pending` counter samples,
-/// mirroring the single-queue engine's sampling cadence.
+/// How many shard-local dispatches between `pending` counter samples.
+/// Sampling (rather than recording every queue length) keeps tracing
+/// overhead bounded on event-dense models.
 const COUNTER_EVERY: u64 = 64;
 
-/// Window-end sentinel signalling workers to exit.
-const STOP: u64 = u64::MAX;
+/// Window-end sentinel signalling workers to exit. No window ends at
+/// zero: the lookahead is at least 1 ns.
+const STOP: u64 = 0;
 
 type ShardAction<S> = Box<dyn FnOnce(&mut ShardCtx<'_, S>) + Send>;
 
@@ -123,11 +132,15 @@ impl<S> Shard<S> {
     }
 
     /// Fire every event strictly before `window_end`, including events
-    /// those events schedule locally inside the window.
+    /// those events schedule locally inside the window. A window end
+    /// saturated at [`Nanos::MAX`] closes the window instead: no later
+    /// window could fire an event at `MAX`, so this one fires everything
+    /// pending.
     fn process_window(&mut self, window_end: Nanos, lookahead: Nanos, shards: usize, trace_on: bool) {
+        let closed = window_end == Nanos::MAX;
         loop {
             match self.queue.peek() {
-                Some(ev) if ev.at < window_end => {}
+                Some(ev) if ev.at < window_end || closed => {}
                 _ => break,
             }
             let ev = self.queue.pop().expect("peeked");
@@ -182,7 +195,8 @@ impl<S> EpochView<'_, '_, S> {
     }
 
     /// The exclusive end of the window this barrier closes: every shard
-    /// has fired all its events strictly before this time. Stages use
+    /// has fired all its events strictly before this time (all of them,
+    /// when the end saturated at [`Nanos::MAX`]). Stages use
     /// it to decide which timeline entries (e.g. scheduled fault
     /// events) are due at this barrier — a worker-count-invariant cut,
     /// because the window bounds are computed by the coordinator on
@@ -390,59 +404,6 @@ impl<S: Send> ShardedSim<S> {
         self.shards[shard].push(at, Box::new(action));
     }
 
-    /// The earliest pending event time across all shards.
-    fn horizon(&self) -> Option<Nanos> {
-        self.shards.iter().filter_map(|s| s.next_at()).min()
-    }
-
-    /// Merge every shard's outbox into the destination queues, in the
-    /// fixed `(source shard, send seq)` order that makes the merge — and
-    /// therefore all downstream dispatch order — independent of which
-    /// worker ran which shard. Then reconcile the epoch stage (if any)
-    /// and forward buffered trace records in shard order.
-    fn epoch_boundary(&mut self, trace_on: bool, window_end: Nanos) {
-        for src in 0..self.shards.len() {
-            let outbox = std::mem::take(&mut self.shards[src].outbox);
-            for out in outbox {
-                // Conservative lookahead guarantees the arrival is at or
-                // beyond the next window's start.
-                debug_assert!(out.at >= self.shards[out.dst].now);
-                self.shards[out.dst].push(out.at, out.action);
-            }
-        }
-        if let Some(stage) = self.stage.as_mut() {
-            let mut view = EpochView {
-                shards: self.shards.iter_mut().collect(),
-                tracer: &self.tracer,
-                window_end,
-            };
-            stage.reconcile(&mut view);
-        }
-        if trace_on {
-            self.flush_trace();
-        }
-        self.epochs += 1;
-    }
-
-    /// Forward per-shard trace buffers to the tracer, in shard order.
-    /// Only ever called from the coordinating thread, so the tracer's
-    /// per-thread buffer sees one deterministic stream.
-    fn flush_trace(&mut self) {
-        for shard in &mut self.shards {
-            let track = format!("sim/shard{}", shard.id);
-            for rec in shard.trace.drain(..) {
-                match rec {
-                    TraceRec::Dispatch { ts } => {
-                        self.tracer.instant_at("sim", &track, "dispatch", ts);
-                    }
-                    TraceRec::Pending { ts, depth } => {
-                        self.tracer.counter_at(&track, "pending", depth, ts);
-                    }
-                }
-            }
-        }
-    }
-
     /// Emit the drain-time `pending = 0` sample for every shard that
     /// fired events (the counter would otherwise end on a stale depth),
     /// then flush.
@@ -454,7 +415,7 @@ impl<S: Send> ShardedSim<S> {
                     shard.drain_sampled = true;
                 }
             }
-            self.flush_trace();
+            flush_trace(&mut self.shards, &self.tracer);
         }
         self.now()
     }
@@ -464,14 +425,15 @@ impl<S: Send> ShardedSim<S> {
     /// the final virtual time.
     pub fn run(&mut self) -> Nanos {
         let trace_on = self.tracer.is_enabled();
-        let lookahead = self.lookahead;
-        let n = self.shards.len();
-        while let Some(h) = self.horizon() {
-            let window_end = h.saturating_add(lookahead);
+        let (lookahead, n) = (self.lookahead, self.shards.len());
+        let mut next = horizon(&self.shards);
+        while let Some(h) = next {
+            let end = h.saturating_add(lookahead);
             for shard in &mut self.shards {
-                shard.process_window(window_end, lookahead, n, trace_on);
+                shard.process_window(end, lookahead, n, trace_on);
             }
-            self.epoch_boundary(trace_on, window_end);
+            next = epoch_boundary(&mut self.shards, &mut self.stage, &self.tracer, end);
+            self.epochs += 1;
         }
         self.finish(trace_on)
     }
@@ -486,21 +448,20 @@ impl<S: Send> ShardedSim<S> {
             return self.run();
         }
         let trace_on = self.tracer.is_enabled();
-        let lookahead = self.lookahead;
-        let n = self.shards.len();
+        let (lookahead, n) = (self.lookahead, self.shards.len());
         let workers = workers.min(n);
 
         // Epoch coordination: the coordinator publishes a window end,
         // workers claim shards from a shared cursor, two barriers fence
         // the epoch. Shards sit behind uncontended mutexes only so the
-        // borrow can cross threads; each is locked once per epoch.
-        let window_end = AtomicU64::new(0);
+        // borrow can cross threads: a worker locks a shard once to run
+        // it, the coordinator locks every shard once per barrier.
+        let window_end = AtomicU64::new(STOP);
         let cursor = AtomicUsize::new(0);
         let barrier = Barrier::new(workers + 1);
-        let tracer = self.tracer.clone();
-        let mut epochs_run = 0u64;
-        let mut stage = self.stage.take();
+        let mut next = horizon(&self.shards);
         let cells: Vec<Mutex<&mut Shard<S>>> = self.shards.iter_mut().map(Mutex::new).collect();
+        let (stage, tracer, epochs) = (&mut self.stage, &self.tracer, &mut self.epochs);
 
         std::thread::scope(|scope| {
             let cells = &cells;
@@ -526,79 +487,86 @@ impl<S: Send> ShardedSim<S> {
                 });
             }
 
-            // Coordinator: between barriers it is the only thread
-            // touching the shards, so the horizon scan, the outbox
-            // merge and the trace flush all see quiescent state.
-            loop {
-                let horizon = {
-                    let mut h: Option<Nanos> = None;
-                    for cell in cells.iter() {
-                        let shard = cell.lock().expect("shard lock");
-                        h = match (h, shard.next_at()) {
-                            (Some(a), Some(b)) => Some(a.min(b)),
-                            (a, b) => a.or(b),
-                        };
-                    }
-                    h
-                };
-                let Some(h) = horizon else {
-                    window_end.store(STOP, AtomicOrdering::Release);
-                    barrier.wait();
-                    break;
-                };
-                cursor.store(0, AtomicOrdering::Relaxed);
+            // Coordinator: between the epoch-end and the next epoch-start
+            // barrier it is the only thread touching the shards.
+            while let Some(h) = next {
                 let end = h.saturating_add(lookahead);
+                cursor.store(0, AtomicOrdering::Relaxed);
                 window_end.store(end.0, AtomicOrdering::Release);
                 barrier.wait(); // epoch starts
                 barrier.wait(); // epoch ends
-                // Deterministic boundary work on the coordinator: drain
-                // outboxes in shard order, deliver in (src, seq) order.
-                let mut deliveries: Vec<Outgoing<S>> = Vec::new();
-                for cell in cells.iter() {
-                    let mut shard = cell.lock().expect("shard lock");
-                    deliveries.append(&mut shard.outbox);
-                }
-                for out in deliveries {
-                    let mut dst = cells[out.dst].lock().expect("shard lock");
-                    debug_assert!(out.at >= dst.now);
-                    dst.push(out.at, out.action);
-                }
-                if let Some(stage) = stage.as_deref_mut() {
-                    // The stage sees all shards quiescent, in shard
-                    // order — the same view `epoch_boundary` builds on
-                    // the serial path.
-                    let mut guards: Vec<_> =
-                        cells.iter().map(|c| c.lock().expect("shard lock")).collect();
-                    let mut view = EpochView {
-                        shards: guards.iter_mut().map(|g| &mut ***g).collect(),
-                        tracer: &tracer,
-                        window_end: end,
-                    };
-                    stage.reconcile(&mut view);
-                }
-                if trace_on {
-                    for cell in cells.iter() {
-                        let mut shard = cell.lock().expect("shard lock");
-                        let track = format!("sim/shard{}", shard.id);
-                        for rec in shard.trace.drain(..) {
-                            match rec {
-                                TraceRec::Dispatch { ts } => {
-                                    tracer.instant_at("sim", &track, "dispatch", ts);
-                                }
-                                TraceRec::Pending { ts, depth } => {
-                                    tracer.counter_at(&track, "pending", depth, ts);
-                                }
-                            }
-                        }
-                    }
-                }
-                epochs_run += 1;
+                let mut guards: Vec<_> = cells.iter().map(|c| c.lock().expect("shard lock")).collect();
+                let mut shards: Vec<&mut Shard<S>> = guards.iter_mut().map(|g| &mut ***g).collect();
+                next = epoch_boundary(&mut shards, stage, tracer, end);
+                *epochs += 1;
             }
+            window_end.store(STOP, AtomicOrdering::Release);
+            barrier.wait();
         });
         drop(cells);
-        self.stage = stage;
-        self.epochs += epochs_run;
         self.finish(trace_on)
+    }
+}
+
+/// The earliest pending event time across `shards`.
+fn horizon<S>(shards: &[impl Borrow<Shard<S>>]) -> Option<Nanos> {
+    shards.iter().filter_map(|s| s.borrow().next_at()).min()
+}
+
+/// The barrier closing the window that ends at `window_end`, written
+/// once for both execution paths and run with every shard quiescent.
+/// It merges every outbox into the destination queues in the fixed
+/// `(source shard, send seq)` order that makes the merge (and therefore
+/// all downstream dispatch order) independent of which worker ran
+/// which shard, reconciles the epoch stage (if any), forwards buffered
+/// trace records in shard order, and returns the next epoch's horizon:
+/// `None` once every queue has drained.
+fn epoch_boundary<S>(
+    shards: &mut [impl BorrowMut<Shard<S>>],
+    stage: &mut Option<Box<dyn EpochStage<S>>>,
+    tracer: &Tracer,
+    window_end: Nanos,
+) -> Option<Nanos> {
+    let mut deliveries = Vec::new();
+    for shard in shards.iter_mut() {
+        deliveries.append(&mut shard.borrow_mut().outbox);
+    }
+    for out in deliveries {
+        let dst = shards[out.dst].borrow_mut();
+        // Conservative lookahead guarantees the arrival is at or
+        // beyond the next window's start.
+        debug_assert!(out.at >= dst.now);
+        dst.push(out.at, out.action);
+    }
+    if let Some(stage) = stage.as_deref_mut() {
+        let mut view = EpochView {
+            shards: shards.iter_mut().map(|s| s.borrow_mut()).collect(),
+            tracer,
+            window_end,
+        };
+        stage.reconcile(&mut view);
+    }
+    flush_trace(shards, tracer);
+    horizon(shards)
+}
+
+/// Forward per-shard trace buffers to the tracer, in shard order. Only
+/// ever called from the coordinating thread, so the tracer's per-thread
+/// buffer sees one deterministic stream. With tracing off the buffers
+/// are empty and the pass is skipped: reading every shard at every
+/// barrier costs measurably once the shards live on other cores.
+fn flush_trace<S>(shards: &mut [impl BorrowMut<Shard<S>>], tracer: &Tracer) {
+    if !tracer.is_enabled() {
+        return;
+    }
+    for shard in shards.iter_mut().map(|s| s.borrow_mut()) {
+        let track = format!("sim/shard{}", shard.id);
+        for rec in shard.trace.drain(..) {
+            match rec {
+                TraceRec::Dispatch { ts } => tracer.instant_at("sim", &track, "dispatch", ts),
+                TraceRec::Pending { ts, depth } => tracer.counter_at(&track, "pending", depth, ts),
+            }
+        }
     }
 }
 
@@ -747,6 +715,40 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn an_event_scheduling_into_the_past_panics() {
+        let mut sim: ShardedSim<()> = ShardedSim::new(vec![()], Nanos(1));
+        sim.schedule(0, Nanos(100), |ctx| ctx.schedule_at(Nanos(50), |_| {}));
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn seeding_into_the_past_panics() {
+        let mut sim: ShardedSim<()> = ShardedSim::new(vec![()], Nanos(1));
+        sim.schedule(0, Nanos(100), |_| {});
+        sim.run();
+        sim.schedule(0, Nanos(50), |_| {});
+    }
+
+    #[test]
+    fn events_at_the_end_of_time_fire() {
+        // The window end saturates at Nanos::MAX; a half-open window
+        // would never fire an event there and the epoch loop would spin.
+        for workers in [1, 2] {
+            let mut sim: ShardedSim<Vec<Nanos>> = ShardedSim::new(vec![Vec::new(); 2], Nanos(10));
+            sim.schedule(0, Nanos::MAX, |ctx| {
+                let now = ctx.now();
+                ctx.state().push(now);
+            });
+            sim.schedule(1, Nanos(5), |ctx| ctx.schedule_at(Nanos::MAX, |c| c.state().push(Nanos::MAX)));
+            assert_eq!(sim.run_sharded(workers), Nanos::MAX, "workers={workers}");
+            assert_eq!(sim.state(0), &[Nanos::MAX]);
+            assert_eq!(sim.state(1), &[Nanos::MAX]);
+        }
+    }
+
+    #[test]
     fn for_fabric_takes_the_propagation_latency() {
         let fabric = Fabric::new(4, 10.0, Nanos::from_micros(10), 1.0);
         let sim: ShardedSim<u8> = ShardedSim::for_fabric(vec![0; 4], &fabric);
@@ -811,6 +813,29 @@ mod tests {
                 prop_assert_eq!(&reference.1, &parallel.1);
                 prop_assert_eq!(reference.2, parallel.2);
                 prop_assert_eq!(reference.3, parallel.3);
+            }
+
+            /// On one shard, whatever order events are seeded in, they
+            /// fire in nondecreasing time order and ties respect schedule
+            /// order, at any lookahead.
+            #[test]
+            fn one_shard_firing_order_is_a_stable_time_sort(
+                times in proptest::collection::vec(0u64..1000, 1..60),
+                lookahead in prop_oneof![Just(u64::MAX), 1u64..2000],
+            ) {
+                let mut sim: ShardedSim<Vec<(Nanos, usize)>> =
+                    ShardedSim::new(vec![Vec::new()], Nanos(lookahead));
+                for (i, t) in times.iter().enumerate() {
+                    sim.schedule(0, Nanos(*t), move |ctx| {
+                        let now = ctx.now();
+                        ctx.state().push((now, i));
+                    });
+                }
+                sim.run();
+                let mut expected: Vec<(Nanos, usize)> =
+                    times.iter().enumerate().map(|(i, t)| (Nanos(*t), i)).collect();
+                expected.sort_by_key(|(t, i)| (*t, *i));
+                prop_assert_eq!(sim.state(0), &expected);
             }
         }
     }

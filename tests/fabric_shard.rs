@@ -380,6 +380,33 @@ fn own_ci_config_has_shard_determinism_jobs() {
     for job in ["gassyfs-shard-determinism", "orchestra-shard-determinism", "chaos-shard-determinism"] {
         assert!(config.jobs.iter().any(|j| j.name == job), "missing CI job '{job}'");
     }
+    // Every step names something that exists: a `--test X` target is a
+    // file under tests/, a bench is a file of popper-bench (the root
+    // package has no bench targets, so `-p popper-bench` is required).
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    fn target_after<'a>(words: &[&'a str], flag: &str) -> Option<&'a str> {
+        let at = words.iter().position(|w| *w == flag)?;
+        Some(words.get(at + 1).copied().unwrap_or_else(|| panic!("'{flag}' without a target")))
+    }
+    for job in &config.jobs {
+        assert!(
+            !job.matrix.axes.iter().any(|(axis, _)| axis == "workers"),
+            "job '{}': no step reads a 'workers' axis; the tests loop over worker counts",
+            job.name
+        );
+        for step in &job.steps {
+            let words: Vec<&str> = step.split_whitespace().collect();
+            if let Some(test) = target_after(&words, "--test") {
+                assert!(root.join("tests").join(format!("{test}.rs")).is_file(), "'{step}': no tests/{test}.rs");
+            }
+            if words.starts_with(&["cargo", "bench"]) {
+                assert_eq!(target_after(&words, "-p"), Some("popper-bench"), "'{step}' must name -p popper-bench");
+                let bench = target_after(&words, "--bench").unwrap_or_else(|| panic!("'{step}' names no --bench"));
+                let file = root.join("crates/bench/benches").join(format!("{bench}.rs"));
+                assert!(file.is_file(), "'{step}': no crates/bench/benches/{bench}.rs");
+            }
+        }
+    }
 }
 
 // ---- chaos determinism: scheduled mid-run faults, every world -------

@@ -135,7 +135,7 @@ fn chaos_crashes_workers_but_loses_zero_jobs() {
                 when tenant=* expect recovers_within(retries, 2)";
     let verdict = popper::aver::check(gate, &table).unwrap();
     assert!(verdict.passed, "{verdict}");
-    assert_eq!(verdict.groups, TENANTS as usize * 3);
+    assert_eq!(verdict.groups, TENANTS * 3);
 }
 
 #[test]
