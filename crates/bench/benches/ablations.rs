@@ -243,11 +243,9 @@ fn print_trace_overhead_ablation() {
     eprintln!("{N} engine dispatches:");
     eprintln!("  disabled sink: {:>9.3} ms", disabled * 1e3);
     eprintln!("  enabled sink:  {:>9.3} ms  ({events} events collected)", enabled * 1e3);
-    eprintln!(
-        "  disabled-sink branch alone: {:.3} ms = {:.2}% of the dispatch path",
-        check * 1e3,
-        check / disabled * 100.0
-    );
+    let pct = check / disabled * 100.0;
+    eprintln!("  disabled-sink branch alone: {:.3} ms = {pct:.2}% of the dispatch path", check * 1e3);
+    assert!(pct < 5.0, "disabled-sink branch exceeds the 5% budget: {pct:.2}%");
     eprintln!("shape: a disabled sink is one branch per dispatch — under the 5% budget.\n");
 }
 

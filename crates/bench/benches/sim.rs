@@ -29,6 +29,12 @@ const FAN_NODES: usize = 64;
 /// Request/ack round trips each source drives into the hub.
 const FAN_CHAIN: u64 = 16;
 
+/// Timed runs per model and worker count. The gate and `BENCH_sim.json`
+/// take the median rate: on a small host one run's rate follows the
+/// host's noise (the PHOLD 8-worker rate of single runs spans
+/// 0.35–0.57x serial on 2 cores).
+const RUNS: usize = 5;
+
 /// Speedup the 8-worker engine must clear on a ≥8-core host.
 const GATE_SPEEDUP: &str = "expect avg(speedup_8w) >= 2";
 /// Overhead bound for core-starved hosts: even multiplexed onto a
@@ -143,21 +149,34 @@ fn measure_fanin(workers: usize) -> (f64, u64, u64) {
     (sim.events_fired() as f64 / elapsed, fingerprint, sim.events_fired())
 }
 
+/// The median events/sec of [`RUNS`] runs of `measure` at `workers`,
+/// with the fingerprint and event count every run must share.
+fn median_rate(measure: fn(usize) -> (f64, u64, u64), workers: usize) -> (f64, u64, u64) {
+    let runs: Vec<(f64, u64, u64)> = (0..RUNS).map(|_| measure(workers)).collect();
+    let (_, fingerprint, events) = runs[0];
+    for &(_, fp, ev) in &runs {
+        assert_eq!((fp, ev), (fingerprint, events), "workers={workers}: repeated runs diverged");
+    }
+    let mut rates: Vec<f64> = runs.iter().map(|r| r.0).collect();
+    rates.sort_by(f64::total_cmp);
+    (rates[RUNS / 2], fingerprint, events)
+}
+
 fn print_and_commit() {
     eprintln!("{}", popper_bench::banner("sim: sharded engine events/sec"));
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     // Determinism first: the bench model itself must agree byte-for-
     // byte between serial and sharded before any rate is worth quoting.
-    let (serial_rate, serial_fp, events) = measure(0);
-    let (rate_2w, fp_2w, ev_2w) = measure(2);
-    let (rate_8w, fp_8w, ev_8w) = measure(8);
+    let (serial_rate, serial_fp, events) = median_rate(measure, 0);
+    let (rate_2w, fp_2w, ev_2w) = median_rate(measure, 2);
+    let (rate_8w, fp_8w, ev_8w) = median_rate(measure, 8);
     assert_eq!((fp_2w, ev_2w), (serial_fp, events), "2-worker run diverged from serial");
     assert_eq!((fp_8w, ev_8w), (serial_fp, events), "8-worker run diverged from serial");
 
     let speedup_2w = rate_2w / serial_rate;
     let speedup_8w = rate_8w / serial_rate;
-    eprintln!("model:  {NODES} nodes, {events} events");
+    eprintln!("model:  {NODES} nodes, {events} events; median of {RUNS} runs per rate");
     eprintln!("serial: {:.0} events/sec", serial_rate);
     eprintln!("2 workers: {:.0} events/sec ({speedup_2w:.2}x)", rate_2w);
     eprintln!("8 workers: {:.0} events/sec ({speedup_8w:.2}x)", rate_8w);
@@ -165,8 +184,8 @@ fn print_and_commit() {
     // Same protocol for the contention-heavy fan-in: determinism first,
     // then the rate. Its shared-core stage is barrier-replayed work the
     // PHOLD model never exercises.
-    let (fan_serial, fan_fp, fan_events) = measure_fanin(0);
-    let (fan_rate_8w, fan_fp_8w, fan_ev_8w) = measure_fanin(8);
+    let (fan_serial, fan_fp, fan_events) = median_rate(measure_fanin, 0);
+    let (fan_rate_8w, fan_fp_8w, fan_ev_8w) = median_rate(measure_fanin, 8);
     assert_eq!((fan_fp_8w, fan_ev_8w), (fan_fp, fan_events), "8-worker fan-in diverged from serial");
     let fan_speedup_8w = fan_rate_8w / fan_serial;
     eprintln!("fan-in: {FAN_NODES} nodes, {fan_events} events");
@@ -224,6 +243,7 @@ fn print_and_commit() {
     report.insert("bench", Value::from("sim_sharded_events_per_sec"));
     report.insert("unit", Value::from("events_per_sec"));
     report.insert("host_cores", Value::from(host_cores as i64));
+    report.insert("runs_per_rate", Value::from(RUNS as i64));
     report.insert("model", modeldoc);
     report.insert("rates", rates);
     report.insert("fanin_fabric", fanin);

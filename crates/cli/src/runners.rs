@@ -672,7 +672,7 @@ mod tests {
     fn full_engine_lists_all_runners() {
         let engine = full_engine();
         let names = engine.runners();
-        for expected in ["synthetic", "gassyfs-scalability", "torpor-variability", "mpi-variability", "lulesh-chaos", "lulesh-sharded", "gassyfs-sharded", "orchestra-sharded", "bww-airtemp"] {
+        for expected in ["synthetic", "gassyfs-scalability", "torpor-variability", "mpi-variability", "lulesh-chaos", "lulesh-sharded", "gassyfs-sharded", "orchestra-sharded", "farm-sharded", "bww-airtemp"] {
             assert!(names.contains(&expected), "missing {expected}");
         }
     }

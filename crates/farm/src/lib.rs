@@ -37,4 +37,4 @@ pub use events::{JobOutcome, JobRecord};
 pub use http::{badge_svg, FarmServer};
 pub use queue::DrrScheduler;
 pub use service::{Farm, FarmBuilder, FarmConfig, FarmReport, JobId, SubmitError};
-pub use simmodel::{simulate, simulate_chaos, FarmChaosSimReport, FarmSimConfig, FarmSimReport};
+pub use simmodel::{simulate, simulate_chaos, FarmSimConfig, FarmSimReport};

@@ -41,5 +41,5 @@ pub use checkpointing::{run_checkpoint_study, CheckpointStudy};
 pub use experiment::{run_scalability, ScalabilityConfig, ScalabilityPoint};
 pub use fs::{GassyFs, MountOptions};
 pub use gasnet::{GasnetStore, PAGE_SIZE};
-pub use shardworld::{run_sharded, run_sharded_chaos, ShardedGassyChaosReport, ShardedGassyConfig, ShardedGassyReport};
+pub use shardworld::{run_sharded, run_sharded_chaos, ShardedGassyConfig, ShardedGassyReport};
 pub use vfs::{FsError, Vfs};

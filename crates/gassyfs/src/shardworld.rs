@@ -14,12 +14,18 @@
 //! the cluster serialize concurrently while the shared fabric core and
 //! each node's ingress meter the contention.
 //!
+//! The world runs under a scheduled-fault timeline
+//! ([`run_sharded_chaos`]): faults land at epoch barriers, the client
+//! fails over to the replica when a primary is unreachable, and sends
+//! retry with backoff — the gasnet store's recovery path. An empty
+//! timeline is the fault-free run ([`run_sharded`]).
+//!
 //! Determinism is inherited from the engine: per-node page counts,
 //! traffic counters, the virtual clock and the trace bytes are
 //! identical at every worker count.
 
 use crate::gasnet::PAGE_SIZE;
-use popper_sim::{recovery_ms, retry_backoff, FabricSim, Nanos, NetCtx, MAX_ATTEMPTS, NodeTraffic, PlatformSpec};
+use popper_sim::{chaos_pace, retry_backoff, FabricSim, Nanos, NetCtx, NodeTraffic, PlaneCmd, PlatformSpec, Recovery, MAX_ATTEMPTS};
 
 /// Size of the replica's acknowledgement back to the client.
 const CTRL_BYTES: u64 = 64;
@@ -49,14 +55,23 @@ struct NodeState {
     replica_pages: u64,
     /// Client only: next page index to push.
     next_page: u64,
-    /// Client only: pages fully replicated and acked.
+    /// Client only: pages resolved (acked or abandoned).
     completed: u64,
+    /// Pages written straight to the replica after a primary failure.
+    failovers: u64,
     /// Client only: virtual time the last ack landed.
     finish: Nanos,
+    /// The client's workload (read on the client; the events carry
+    /// only what differs per page).
+    writes: Writes,
+    /// Timeouts on this node's sends; on the client, also the pages
+    /// that landed after a failure (`recovered`) or were abandoned
+    /// after `MAX_ATTEMPTS` (`lost`).
+    recovery: Recovery,
 }
 
 /// Result of one sharded world run — identical at every worker count.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedGassyReport {
     /// End-to-end virtual runtime.
     pub elapsed: Nanos,
@@ -68,136 +83,9 @@ pub struct ShardedGassyReport {
     pub per_node_replica: Vec<u64>,
     /// Fabric traffic counters, node order.
     pub traffic: Vec<NodeTraffic>,
-    /// Pages written (echoes the config).
+    /// Pages the client attempted (echoes the config).
     pub pages: u64,
-    /// Total events dispatched.
-    pub events: u64,
-    /// Epoch barriers the engine crossed.
-    pub epochs: u64,
-    /// Worker threads used.
-    pub workers: usize,
-}
-
-/// Run the sharded world with `workers` threads (1 = the
-/// single-threaded reference; results are identical either way). The
-/// platform supplies the NIC the fabric is built from.
-pub fn run_sharded(
-    config: &ShardedGassyConfig,
-    platform: &PlatformSpec,
-    workers: usize,
-) -> ShardedGassyReport {
-    assert!(config.nodes >= 2, "a gasnet world needs at least two nodes");
-    assert!(config.pages >= 1 && config.streams >= 1);
-    let latency = Nanos(platform.nic_lat_ns as u64).max(Nanos(1));
-    let states = (0..config.nodes)
-        .map(|_| NodeState {
-            primary_pages: 0,
-            replica_pages: 0,
-            next_page: 0,
-            completed: 0,
-            finish: Nanos::ZERO,
-        })
-        .collect();
-    let mut sim = FabricSim::new(states, platform.nic_gbit, latency, 1.0);
-    let total = config.pages;
-    let streams = (config.streams as u64).min(total);
-    for _ in 0..streams {
-        sim.schedule(0, Nanos::ZERO, move |ctx| write_next(ctx, total));
-    }
-    let elapsed = sim.run_sharded(workers);
-    ShardedGassyReport {
-        elapsed,
-        client_finish: sim.state(0).finish,
-        per_node_primary: sim.states().map(|s| s.primary_pages).collect(),
-        per_node_replica: sim.states().map(|s| s.replica_pages).collect(),
-        traffic: (0..config.nodes).map(|n| sim.traffic(n)).collect(),
-        pages: total,
-        events: sim.events_fired(),
-        epochs: sim.epochs(),
-        workers: workers.max(1),
-    }
-}
-
-/// Client: pop the next page and push it down the replication chain —
-/// primary write, replica forward, ack. The chain re-enters here on
-/// ack, so each call keeps exactly one stream busy.
-fn write_next(ctx: &mut NetCtx<'_, '_, NodeState>, total: u64) {
-    let nodes = ctx.nodes();
-    let state = ctx.state();
-    if state.next_page >= total {
-        return;
-    }
-    let page = state.next_page;
-    state.next_page += 1;
-    let primary = (page % nodes as u64) as usize;
-    let replica = (primary + 1) % nodes;
-    ctx.transfer(primary, PAGE_SIZE, move |c| {
-        c.state().primary_pages += 1;
-        c.transfer(replica, PAGE_SIZE, move |c| {
-            c.state().replica_pages += 1;
-            c.transfer(0, CTRL_BYTES, move |c| {
-                let now = c.now();
-                let state = c.state();
-                state.completed += 1;
-                if state.completed == total {
-                    state.finish = now;
-                } else {
-                    write_next(c, total);
-                }
-            });
-        });
-    });
-}
-
-// ---- chaos variant: the same write path under a scheduled-fault ----
-// ---- timeline, with the gasnet store's replica failover ported  ----
-// ---- onto the sharded world                                     ----
-
-/// Per-node state of the chaos run: the healthy world's placement
-/// counters plus failure bookkeeping.
-struct ChaosNodeState {
-    primary_pages: u64,
-    replica_pages: u64,
-    /// Client only: next page index to push.
-    next_page: u64,
-    /// Client only: pages resolved (acked or abandoned).
-    completed: u64,
-    /// Client only: pages that needed a failover or retry.
-    degraded: u64,
-    /// Client only: pages abandoned after `MAX_ATTEMPTS`.
-    lost: u64,
-    /// Pages written straight to the replica after a primary failure.
-    failovers: u64,
-    /// Failures this node observed (timeouts on its sends).
-    detections: u64,
-    /// Earliest failure this node observed.
-    first_fail: Option<Nanos>,
-    /// Latest recovered completion this node observed.
-    last_recovery: Nanos,
-    finish: Nanos,
-}
-
-impl ChaosNodeState {
-    fn note_fail(&mut self, at: Nanos) {
-        self.detections += 1;
-        self.first_fail = Some(self.first_fail.map_or(at, |f| f.min(at)));
-    }
-}
-
-/// Result of one sharded chaos run — identical at every worker count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedGassyChaosReport {
-    /// End-to-end virtual runtime.
-    pub elapsed: Nanos,
-    /// Primary page placement, node order.
-    pub per_node_primary: Vec<u64>,
-    /// Replica page placement, node order.
-    pub per_node_replica: Vec<u64>,
-    /// Fabric traffic counters, node order.
-    pub traffic: Vec<NodeTraffic>,
-    /// Pages the client attempted.
-    pub pages: u64,
-    /// Pages acked back to the client.
+    /// Pages resolved (acked or abandoned).
     pub completed: u64,
     /// Pages that needed a failover or retry before acking.
     pub degraded: u64,
@@ -212,17 +100,32 @@ pub struct ShardedGassyChaosReport {
     pub recovery_ms: f64,
     /// Fraction of pages that saw any failure.
     pub degraded_fraction: f64,
+    /// Total events dispatched.
+    pub events: u64,
     /// Epoch barriers the engine crossed.
     pub epochs: u64,
     /// Worker threads used.
     pub workers: usize,
 }
 
-/// Start gap between consecutive pages so the workload spans the
-/// schedule (1.25x its horizon): a chaos run must still be mid-write
-/// when the last fault lands.
-fn page_pace(horizon: Nanos, pages: u64) -> Nanos {
-    Nanos(horizon.0 * 5 / 4 / pages.max(1))
+/// Run the sharded world with `workers` threads (1 = the
+/// single-threaded reference; results are identical either way). The
+/// platform supplies the NIC the fabric is built from. This is the
+/// fault-free run: [`run_sharded_chaos`] with an empty timeline.
+pub fn run_sharded(
+    config: &ShardedGassyConfig,
+    platform: &PlatformSpec,
+    workers: usize,
+) -> ShardedGassyReport {
+    run_sharded_chaos(config, platform, workers, 0, Vec::new())
+}
+
+/// The client's workload: how many pages, and the gap between their
+/// start slots (see [`chaos_pace`]).
+#[derive(Clone, Copy)]
+struct Writes {
+    total: u64,
+    pace: Nanos,
 }
 
 /// Run the sharded world under a scheduled-fault timeline (see
@@ -237,186 +140,163 @@ pub fn run_sharded_chaos(
     platform: &PlatformSpec,
     workers: usize,
     seed: u64,
-    timeline: Vec<(Nanos, popper_sim::PlaneCmd)>,
-) -> ShardedGassyChaosReport {
+    timeline: Vec<(Nanos, PlaneCmd)>,
+) -> ShardedGassyReport {
     assert!(config.nodes >= 2, "a gasnet world needs at least two nodes");
     assert!(config.pages >= 1 && config.streams >= 1);
     let latency = Nanos(platform.nic_lat_ns as u64).max(Nanos(1));
+    let writes = Writes { total: config.pages, pace: chaos_pace(&timeline, config.pages) };
     let states = (0..config.nodes)
-        .map(|_| ChaosNodeState {
+        .map(|_| NodeState {
             primary_pages: 0,
             replica_pages: 0,
             next_page: 0,
             completed: 0,
-            degraded: 0,
-            lost: 0,
             failovers: 0,
-            detections: 0,
-            first_fail: None,
-            last_recovery: Nanos::ZERO,
             finish: Nanos::ZERO,
+            writes,
+            recovery: Recovery::default(),
         })
         .collect();
     let mut sim = FabricSim::new(states, platform.nic_gbit, latency, 1.0);
-    let horizon = timeline.iter().map(|(at, _)| *at).max().unwrap_or(Nanos::ZERO);
     sim.set_fault_timeline(seed, timeline);
-    let total = config.pages;
-    let pace = page_pace(horizon, total);
-    let streams = (config.streams as u64).min(total);
-    for _ in 0..streams {
-        sim.schedule(0, Nanos::ZERO, move |ctx| chaos_write_next(ctx, total, pace));
+    for _ in 0..(config.streams as u64).min(config.pages) {
+        sim.schedule(0, Nanos::ZERO, write_next);
     }
     let elapsed = sim.run_sharded(workers);
 
-    let first_fail =
-        sim.states().filter_map(|s| s.first_fail).min();
-    let last_recovery = sim.states().map(|s| s.last_recovery).max().unwrap_or(Nanos::ZERO);
-    let recovery_ms = recovery_ms(first_fail, last_recovery);
+    let recovery = sim.states().fold(Recovery::default(), |acc, s| acc.merge(&s.recovery));
+    // A page, not a send, is the unit of degradation here: it is
+    // degraded when it lands after a failover or retry.
+    let degraded = recovery.recovered;
     let client = sim.state(0);
-    let (completed, degraded, lost) = (client.completed, client.degraded, client.lost);
-    ShardedGassyChaosReport {
+    ShardedGassyReport {
         elapsed,
+        client_finish: client.finish,
         per_node_primary: sim.states().map(|s| s.primary_pages).collect(),
         per_node_replica: sim.states().map(|s| s.replica_pages).collect(),
         traffic: (0..config.nodes).map(|n| sim.traffic(n)).collect(),
-        pages: total,
-        completed,
+        pages: config.pages,
+        completed: client.completed,
         degraded,
-        lost,
+        lost: recovery.lost,
         failovers: sim.states().map(|s| s.failovers).sum(),
-        detections: sim.states().map(|s| s.detections).sum(),
-        recovery_ms,
-        degraded_fraction: (degraded + lost) as f64 / total as f64,
+        detections: recovery.detections,
+        recovery_ms: recovery.recovery_ms(),
+        degraded_fraction: (degraded + recovery.lost) as f64 / config.pages as f64,
+        events: sim.events_fired(),
         epochs: sim.epochs(),
         workers: workers.max(1),
     }
 }
 
-type ChaosCtx<'a, 'b> = NetCtx<'a, 'b, ChaosNodeState>;
+type Ctx<'a, 'b> = NetCtx<'a, 'b, NodeState>;
 
 /// Client: pop the next page (paced onto its start slot) and push it
-/// down the replication chain.
-fn chaos_write_next(ctx: &mut ChaosCtx<'_, '_>, total: u64, pace: Nanos) {
+/// down the replication chain — primary write, replica forward, ack.
+/// The chain re-enters here on ack, so each call keeps exactly one
+/// stream busy.
+fn write_next(ctx: &mut Ctx<'_, '_>) {
     let now = ctx.now();
     let state = ctx.state();
-    if state.next_page >= total {
+    if state.next_page >= state.writes.total {
         return;
     }
     let page = state.next_page;
     state.next_page += 1;
-    let slot = pace * page;
+    let slot = state.writes.pace * page;
     if slot > now {
-        ctx.schedule_at(slot, move |c| write_page(c, page, 0, false, total, pace));
+        ctx.schedule_at(slot, move |c| write_page(c, page, 0, false));
     } else {
-        write_page(ctx, page, 0, false, total, pace);
+        write_page(ctx, page, 0, false);
     }
 }
 
 /// One write attempt of `page`: primary first; on a primary timeout,
 /// fail over to the replica; when both are unreachable, back off and
-/// retry the whole page.
-fn write_page(
-    ctx: &mut ChaosCtx<'_, '_>,
-    page: u64,
-    attempt: usize,
-    touched: bool,
-    total: u64,
-    pace: Nanos,
-) {
+/// retry the whole page. `touched` marks a page that already failed.
+fn write_page(ctx: &mut Ctx<'_, '_>, page: u64, attempt: usize, touched: bool) {
     let nodes = ctx.nodes();
     if attempt >= MAX_ATTEMPTS {
         let state = ctx.state();
-        state.lost += 1;
+        state.recovery.lost += 1;
         state.completed += 1;
-        chaos_write_next(ctx, total, pace);
+        write_next(ctx);
         return;
     }
     let primary = (page % nodes as u64) as usize;
-    let replica = (primary + 1) % nodes;
-    ctx.transfer_or(
-        primary,
-        PAGE_SIZE,
-        move |c| primary_store(c, page, replica, touched, total, pace),
-        move |c, u| {
-            c.state().note_fail(u.gave_up_at);
-            // Replica failover: write the single surviving copy
-            // directly (the gasnet store's recovery path).
-            c.transfer_or(
-                replica,
-                PAGE_SIZE,
-                move |cc| {
-                    let st = cc.state();
-                    st.replica_pages += 1;
-                    st.failovers += 1;
-                    send_ack(cc, true, total, pace, 0);
-                },
-                move |cc, u2| {
-                    cc.state().note_fail(u2.gave_up_at);
-                    cc.schedule_in(retry_backoff(attempt), move |c3| {
-                        write_page(c3, page, attempt + 1, true, total, pace)
-                    });
-                },
-            );
-        },
-    );
+    // Boxed once per page: the page, a `u32` attempt and the flag, as
+    // small as a write that cannot fail.
+    let attempt32 = attempt as u32;
+    ctx.transfer_or(primary, PAGE_SIZE, move |c, outcome| {
+        let attempt = attempt32 as usize;
+        match outcome {
+            Ok(()) => primary_store(c, touched),
+            Err(u) => {
+                c.state().recovery.note_fail(u.gave_up_at, attempt);
+                // Replica failover: write the single surviving copy
+                // directly (the gasnet store's recovery path).
+                let replica = (u.dst + 1) % c.nodes();
+                c.transfer_or(replica, PAGE_SIZE, move |cc, outcome| match outcome {
+                    Ok(()) => {
+                        let st = cc.state();
+                        st.replica_pages += 1;
+                        st.failovers += 1;
+                        send_ack(cc, true, 0);
+                    }
+                    Err(u) => {
+                        cc.state().recovery.note_fail(u.gave_up_at, attempt);
+                        cc.schedule_in(retry_backoff(attempt), move |c3| write_page(c3, page, attempt + 1, true));
+                    }
+                });
+            }
+        }
+    });
 }
 
-/// Primary: store the page and forward the replica copy; when the
-/// replica is unreachable, ack the client directly (the page survives
-/// with one copy — degraded, not lost).
-fn primary_store(
-    ctx: &mut ChaosCtx<'_, '_>,
-    _page: u64,
-    replica: usize,
-    touched: bool,
-    total: u64,
-    pace: Nanos,
-) {
+/// Primary: store the page and forward the replica copy to the next
+/// node; when the replica is unreachable, ack the client directly (the
+/// page survives with one copy — degraded, not lost).
+fn primary_store(ctx: &mut Ctx<'_, '_>, touched: bool) {
     ctx.state().primary_pages += 1;
-    ctx.transfer_or(
-        replica,
-        PAGE_SIZE,
-        move |c| {
+    let replica = (ctx.node() + 1) % ctx.nodes();
+    ctx.transfer_or(replica, PAGE_SIZE, move |c, outcome| match outcome {
+        Ok(()) => {
             c.state().replica_pages += 1;
-            send_ack(c, touched, total, pace, 0);
-        },
-        move |c, u| {
-            c.state().note_fail(u.gave_up_at);
-            send_ack(c, true, total, pace, 0);
-        },
-    );
+            send_ack(c, touched, 0);
+        }
+        Err(u) => {
+            c.state().recovery.note_fail(u.gave_up_at, 0);
+            send_ack(c, true, 0);
+        }
+    });
 }
 
 /// Ack the client (retrying with backoff — a lost ack would strand a
-/// write stream); the chain re-enters `chaos_write_next` there.
-fn send_ack(ctx: &mut ChaosCtx<'_, '_>, degraded: bool, total: u64, pace: Nanos, attempt: usize) {
+/// write stream); the chain re-enters `write_next` there.
+fn send_ack(ctx: &mut Ctx<'_, '_>, degraded: bool, attempt: usize) {
     if attempt >= MAX_ATTEMPTS {
         return; // Stream stranded; the client reports the page lost-in-flight.
     }
-    ctx.transfer_or(
-        0,
-        CTRL_BYTES,
-        move |c| {
+    ctx.transfer_or(0, CTRL_BYTES, move |c, outcome| match outcome {
+        Ok(()) => {
             let now = c.now();
             let state = c.state();
             state.completed += 1;
             if degraded {
-                state.degraded += 1;
-                state.last_recovery = state.last_recovery.max(now);
+                state.recovery.note_recovery(now);
             }
-            if state.completed == total {
+            if state.completed == state.writes.total {
                 state.finish = now;
             } else {
-                chaos_write_next(c, total, pace);
+                write_next(c);
             }
-        },
-        move |c, u| {
-            c.state().note_fail(u.gave_up_at);
-            c.schedule_in(retry_backoff(attempt), move |cc| {
-                send_ack(cc, degraded, total, pace, attempt + 1)
-            });
-        },
-    );
+        }
+        Err(u) => {
+            c.state().recovery.note_fail(u.gave_up_at, attempt);
+            c.schedule_in(retry_backoff(attempt), move |cc| send_ack(cc, degraded, attempt + 1));
+        }
+    });
 }
 
 #[cfg(test)]
@@ -479,7 +359,7 @@ mod tests {
         for workers in [2, 8] {
             let parallel = run_sharded_chaos(&config, &platform, workers, 7, timeline.clone());
             assert_eq!(
-                ShardedGassyChaosReport { workers: 1, ..parallel },
+                ShardedGassyReport { workers: 1, ..parallel },
                 reference,
                 "workers={workers}"
             );

@@ -48,4 +48,4 @@ pub use experiment::{
 pub use ft::{run_ft, EpochRecord, FtLuleshRun, RecoveryEvent, RecoveryPolicy};
 pub use lulesh::{LuleshConfig, LuleshResult};
 pub use profiler::{MpiOp, MpiProfile};
-pub use shardsim::{run_sharded, run_sharded_chaos, ShardedLuleshChaosRun, ShardedLuleshRun};
+pub use shardsim::{run_sharded, run_sharded_chaos, ShardedLuleshRun};

@@ -155,11 +155,17 @@ pub fn run_playbook_traced(
                     let controller = &controller;
                     let tracer = tracer.clone();
                     scope.spawn(move |_| {
-                        let _task_span =
+                        let task_span =
                             tracer.span("orchestra", format!("orchestra/{host_name}"), &task.name);
                         let status =
                             run_task_on_host(task, host_name, &mut state, controller, &tracer);
                         *slot.lock() = Some((status, state));
+                        // The scope may return before this thread's
+                        // buffer is flushed on exit: flush it here, so a
+                        // caller that drains the sink after the play
+                        // sees every host event.
+                        drop(task_span);
+                        tracer.flush();
                     });
                 }
             })

@@ -25,7 +25,7 @@ pub mod playbook;
 pub mod shardworld;
 
 pub use executor::{run_playbook, run_playbook_traced, HostReport, PlaybookReport, TaskStatus};
-pub use shardworld::{run_sharded, run_sharded_chaos, ShardedOrchestraChaosReport, ShardedOrchestraConfig, ShardedOrchestraReport};
+pub use shardworld::{run_sharded, run_sharded_chaos, ShardedOrchestraConfig, ShardedOrchestraReport};
 pub use inventory::{Host, Inventory};
 pub use modules::HostState;
 pub use playbook::{Play, Playbook, Task};

@@ -14,11 +14,17 @@
 //! incast that the fabric meters — exactly the contention a fixed
 //! per-RPC delay would hide.
 //!
+//! The world runs under a scheduled-fault timeline
+//! ([`run_sharded_chaos`]): faults land at epoch barriers and both
+//! directions of every RPC retry with backoff. An empty timeline is the
+//! fault-free run ([`run_sharded`]).
+//!
 //! Determinism is inherited from the engine: task release times,
 //! per-host busy time, traffic counters and trace bytes are identical
 //! at every worker count.
 
-use popper_sim::{recovery_ms, retry_backoff, FabricSim, Nanos, NetCtx, MAX_ATTEMPTS, NodeTraffic};
+use popper_sim::{chaos_pace, retry_backoff, FabricSim, Nanos, NetCtx, NodeTraffic, PlaneCmd, Recovery, MAX_ATTEMPTS};
+use std::sync::Arc;
 
 /// The controller owns shard 0; host `h` (1-based id) is shard `h`.
 const CONTROLLER: usize = 0;
@@ -59,14 +65,23 @@ impl Default for ShardedOrchestraConfig {
     }
 }
 
+/// One shard: its role and its RPC failure ledger.
+struct OrchShard {
+    role: Role,
+    /// Failures of this shard's sends, recoveries of the RPCs it
+    /// received.
+    recovery: Recovery,
+}
+
 /// What one shard models.
-enum OrchShard {
+enum Role {
     Controller {
-        /// Acks received for the in-flight task.
-        acked: usize,
+        /// RPCs resolved for the in-flight task (ack landed, or the
+        /// dispatch was abandoned).
+        resolved: usize,
         /// Index of the in-flight (or next) task.
         task: usize,
-        /// Virtual time each task's last ack landed.
+        /// Virtual time each task resolved.
         task_finish: Vec<Nanos>,
         /// Virtual time the playbook completed.
         finish: Nanos,
@@ -82,203 +97,8 @@ enum OrchShard {
 }
 
 /// Result of one sharded world run — identical at every worker count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedOrchestraReport {
-    /// End-to-end virtual runtime.
-    pub elapsed: Nanos,
-    /// Virtual time the controller saw each task complete.
-    pub task_finish: Vec<Nanos>,
-    /// Tasks each host ran, host order.
-    pub per_host_ran: Vec<usize>,
-    /// Module execution time per host, host order.
-    pub per_host_busy: Vec<Nanos>,
-    /// Fabric traffic counters, shard order (controller first).
-    pub traffic: Vec<NodeTraffic>,
-    /// Total events dispatched.
-    pub events: u64,
-    /// Epoch barriers the engine crossed.
-    pub epochs: u64,
-    /// Worker threads used.
-    pub workers: usize,
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// Deterministic module duration on `host` for `task`: `0.5x .. 1.5x`
-/// of the mean — the same hashed-jitter idiom the farm model uses.
-fn module_duration(config: &ShardedOrchestraConfig, host: usize, task: usize) -> Nanos {
-    let key = splitmix(splitmix(config.seed) ^ ((host as u64) << 32) ^ task as u64);
-    let jitter = (key % 1000) as f64 / 1000.0; // [0, 1)
-    config.mean_task.scale(0.5 + jitter)
-}
-
-/// Run the sharded world with `workers` threads (1 = the
-/// single-threaded reference; results are identical either way).
-pub fn run_sharded(config: &ShardedOrchestraConfig, workers: usize) -> ShardedOrchestraReport {
-    assert!(config.hosts >= 1 && config.tasks >= 1);
-    let mut states = vec![OrchShard::Controller {
-        acked: 0,
-        task: 0,
-        task_finish: Vec::with_capacity(config.tasks),
-        finish: Nanos::ZERO,
-    }];
-    states.extend((1..=config.hosts).map(|id| OrchShard::Host { id, ran: 0, busy: Nanos::ZERO }));
-
-    let link_gbit = config.link_gbit_x10 as f64 / 10.0;
-    let mut sim = FabricSim::new(states, link_gbit, config.latency, 1.0);
-    let cfg = std::sync::Arc::new(config.clone());
-    sim.schedule(CONTROLLER, Nanos::ZERO, move |ctx| dispatch_task(ctx, cfg));
-    let elapsed = sim.run_sharded(workers);
-
-    let OrchShard::Controller { task_finish, .. } = sim.state(CONTROLLER) else {
-        unreachable!("shard 0 is the controller")
-    };
-    let mut per_host_ran = vec![0; config.hosts];
-    let mut per_host_busy = vec![Nanos::ZERO; config.hosts];
-    for state in sim.states() {
-        if let OrchShard::Host { id, ran, busy } = state {
-            per_host_ran[*id - 1] = *ran;
-            per_host_busy[*id - 1] = *busy;
-        }
-    }
-    ShardedOrchestraReport {
-        elapsed,
-        task_finish: task_finish.clone(),
-        per_host_ran,
-        per_host_busy,
-        traffic: (0..=config.hosts).map(|n| sim.traffic(n)).collect(),
-        events: sim.events_fired(),
-        epochs: sim.epochs(),
-        workers: workers.max(1),
-    }
-}
-
-/// Controller: fan the current task's payload out to every host.
-fn dispatch_task(
-    ctx: &mut NetCtx<'_, '_, OrchShard>,
-    cfg: std::sync::Arc<ShardedOrchestraConfig>,
-) {
-    let OrchShard::Controller { task, acked, .. } = ctx.state() else {
-        unreachable!("dispatch runs on the controller shard")
-    };
-    let task = *task;
-    *acked = 0;
-    for host in 1..=cfg.hosts {
-        let cfg = std::sync::Arc::clone(&cfg);
-        ctx.transfer(host, cfg.task_bytes, move |c| run_module(c, task, cfg));
-    }
-}
-
-/// Host: execute the module for the hashed duration, then ship the
-/// result back to the controller.
-fn run_module(
-    ctx: &mut NetCtx<'_, '_, OrchShard>,
-    task: usize,
-    cfg: std::sync::Arc<ShardedOrchestraConfig>,
-) {
-    let host = ctx.node();
-    let duration = module_duration(&cfg, host, task);
-    ctx.schedule_in(duration, move |c| {
-        let OrchShard::Host { ran, busy, .. } = c.state() else {
-            unreachable!("modules run on host shards")
-        };
-        *ran += 1;
-        *busy += duration;
-        c.transfer(CONTROLLER, cfg.result_bytes, move |ctrl| collect_ack(ctrl, cfg));
-    });
-}
-
-/// Controller: count the ack; when every host has answered, record the
-/// task and release the next one.
-fn collect_ack(
-    ctx: &mut NetCtx<'_, '_, OrchShard>,
-    cfg: std::sync::Arc<ShardedOrchestraConfig>,
-) {
-    let now = ctx.now();
-    let OrchShard::Controller { acked, task, task_finish, finish } = ctx.state() else {
-        unreachable!("acks land on the controller shard")
-    };
-    *acked += 1;
-    if *acked < cfg.hosts {
-        return;
-    }
-    task_finish.push(now);
-    *task += 1;
-    if *task == cfg.tasks {
-        *finish = now;
-        return;
-    }
-    ctx.schedule_in(Nanos::ZERO, move |c| dispatch_task(c, cfg));
-}
-
-// ---- chaos variant: the linear strategy under a scheduled-fault ----
-// ---- timeline, with per-RPC retry/backoff                       ----
-
-/// Failure bookkeeping shared by the controller and host shards.
-#[derive(Default)]
-struct Chaos {
-    /// RPC timeouts this shard observed on its sends.
-    detections: u64,
-    /// RPCs that failed at least once before landing or dying.
-    degraded: u64,
-    /// RPCs this shard received after one or more sender retries.
-    recovered: u64,
-    /// RPCs abandoned after `MAX_ATTEMPTS`.
-    lost: u64,
-    first_fail: Option<Nanos>,
-    last_recovery: Nanos,
-}
-
-impl Chaos {
-    fn note_fail(&mut self, at: Nanos, attempt: usize) {
-        self.detections += 1;
-        if attempt == 0 {
-            self.degraded += 1;
-        }
-        self.first_fail = Some(self.first_fail.map_or(at, |f| f.min(at)));
-    }
-    fn note_recovery(&mut self, at: Nanos) {
-        self.recovered += 1;
-        self.last_recovery = self.last_recovery.max(at);
-    }
-}
-
-/// What one shard models in the chaos run.
-enum ChaosOrchShard {
-    Controller {
-        /// RPCs resolved for the in-flight task (ack landed, or the
-        /// dispatch was abandoned).
-        resolved: usize,
-        task: usize,
-        task_finish: Vec<Nanos>,
-        finish: Nanos,
-        chaos: Chaos,
-    },
-    Host {
-        id: usize,
-        ran: usize,
-        busy: Nanos,
-        chaos: Chaos,
-    },
-}
-
-impl ChaosOrchShard {
-    fn chaos(&mut self) -> &mut Chaos {
-        match self {
-            ChaosOrchShard::Controller { chaos, .. } | ChaosOrchShard::Host { chaos, .. } => chaos,
-        }
-    }
-}
-
-/// Result of one sharded chaos run — identical at every worker count.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardedOrchestraChaosReport {
+pub struct ShardedOrchestraReport {
     /// End-to-end virtual runtime.
     pub elapsed: Nanos,
     /// Virtual time the controller saw each task resolve.
@@ -310,9 +130,34 @@ pub struct ShardedOrchestraChaosReport {
     pub degraded_fraction: f64,
 }
 
-/// Release slot of task `t` so the playbook spans the schedule.
-fn task_slot(horizon: Nanos, tasks: usize, task: usize) -> Nanos {
-    Nanos(horizon.0 * 5 / 4 / (tasks as u64).max(1)) * task as u64
+fn splitmix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e3779b97f4a7c15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+/// Deterministic module duration on `host` for `task`: `0.5x .. 1.5x`
+/// of the mean — the same hashed-jitter idiom the farm model uses.
+fn module_duration(config: &ShardedOrchestraConfig, host: usize, task: usize) -> Nanos {
+    let key = splitmix(splitmix(config.seed) ^ ((host as u64) << 32) ^ task as u64);
+    let jitter = (key % 1000) as f64 / 1000.0; // [0, 1)
+    config.mean_task.scale(0.5 + jitter)
+}
+
+/// The playbook every event reads: the config and the gap between task
+/// release slots (see [`chaos_pace`]).
+struct Plan {
+    config: ShardedOrchestraConfig,
+    pace: Nanos,
+}
+
+/// Run the sharded world with `workers` threads (1 = the
+/// single-threaded reference; results are identical either way). This
+/// is the fault-free run: [`run_sharded_chaos`] with an empty timeline.
+pub fn run_sharded(config: &ShardedOrchestraConfig, workers: usize) -> ShardedOrchestraReport {
+    run_sharded_chaos(config, workers, 0, Vec::new())
 }
 
 /// Run the sharded world under a scheduled-fault timeline (see
@@ -325,59 +170,43 @@ pub fn run_sharded_chaos(
     config: &ShardedOrchestraConfig,
     workers: usize,
     seed: u64,
-    timeline: Vec<(Nanos, popper_sim::PlaneCmd)>,
-) -> ShardedOrchestraChaosReport {
+    timeline: Vec<(Nanos, PlaneCmd)>,
+) -> ShardedOrchestraReport {
     assert!(config.hosts >= 1 && config.tasks >= 1);
-    let mut states = vec![ChaosOrchShard::Controller {
+    assert!(u32::try_from(config.tasks).is_ok(), "a task push names its task as a u32");
+    let controller = Role::Controller {
         resolved: 0,
         task: 0,
         task_finish: Vec::with_capacity(config.tasks),
         finish: Nanos::ZERO,
-        chaos: Chaos::default(),
-    }];
-    states.extend((1..=config.hosts).map(|id| ChaosOrchShard::Host {
-        id,
-        ran: 0,
-        busy: Nanos::ZERO,
-        chaos: Chaos::default(),
-    }));
+    };
+    let hosts = (1..=config.hosts).map(|id| Role::Host { id, ran: 0, busy: Nanos::ZERO });
+    let states = std::iter::once(controller)
+        .chain(hosts)
+        .map(|role| OrchShard { role, recovery: Recovery::default() })
+        .collect();
 
     let link_gbit = config.link_gbit_x10 as f64 / 10.0;
     let mut sim = FabricSim::new(states, link_gbit, config.latency, 1.0);
-    let horizon = timeline.iter().map(|(at, _)| *at).max().unwrap_or(Nanos::ZERO);
+    let plan = Arc::new(Plan { config: config.clone(), pace: chaos_pace(&timeline, config.tasks as u64) });
     sim.set_fault_timeline(seed, timeline);
-    let cfg = std::sync::Arc::new(config.clone());
-    sim.schedule(CONTROLLER, Nanos::ZERO, move |ctx| chaos_dispatch(ctx, horizon, cfg));
+    sim.schedule(CONTROLLER, Nanos::ZERO, move |ctx| dispatch(ctx, plan));
     let elapsed = sim.run_sharded(workers);
 
-    let ChaosOrchShard::Controller { task_finish, .. } = sim.state(CONTROLLER) else {
+    let Role::Controller { task_finish, .. } = &sim.state(CONTROLLER).role else {
         unreachable!("shard 0 is the controller")
     };
     let mut per_host_ran = vec![0; config.hosts];
     let mut per_host_busy = vec![Nanos::ZERO; config.hosts];
     for state in sim.states() {
-        if let ChaosOrchShard::Host { id, ran, busy, .. } = state {
-            per_host_ran[*id - 1] = *ran;
-            per_host_busy[*id - 1] = *busy;
+        if let Role::Host { id, ran, busy } = state.role {
+            per_host_ran[id - 1] = ran;
+            per_host_busy[id - 1] = busy;
         }
     }
-    let all = |f: fn(&Chaos) -> u64| -> u64 {
-        sim.states()
-            .map(|s| match s {
-                ChaosOrchShard::Controller { chaos, .. } | ChaosOrchShard::Host { chaos, .. } => f(chaos),
-            })
-            .sum()
-    };
-    let chaos_of = |s: &ChaosOrchShard| match s {
-        ChaosOrchShard::Controller { chaos, .. } | ChaosOrchShard::Host { chaos, .. } => {
-            (chaos.first_fail, chaos.last_recovery)
-        }
-    };
-    let first_fail = sim.states().filter_map(|s| chaos_of(s).0).min();
-    let last_recovery = sim.states().map(|s| chaos_of(s).1).max().unwrap_or(Nanos::ZERO);
-    let recovery_ms = recovery_ms(first_fail, last_recovery);
+    let recovery = sim.states().fold(Recovery::default(), |acc, s| acc.merge(&s.recovery));
     let rpcs = 2 * (config.hosts * config.tasks) as u64;
-    ShardedOrchestraChaosReport {
+    ShardedOrchestraReport {
         elapsed,
         task_finish: task_finish.clone(),
         per_host_ran,
@@ -387,36 +216,35 @@ pub fn run_sharded_chaos(
         epochs: sim.epochs(),
         workers: workers.max(1),
         rpcs,
-        detections: all(|c| c.detections),
-        recovered: all(|c| c.recovered),
-        lost: all(|c| c.lost),
-        recovery_ms,
-        degraded_fraction: all(|c| c.degraded) as f64 / rpcs.max(1) as f64,
+        detections: recovery.detections,
+        recovered: recovery.recovered,
+        lost: recovery.lost,
+        recovery_ms: recovery.recovery_ms(),
+        degraded_fraction: recovery.degraded as f64 / rpcs.max(1) as f64,
     }
 }
 
-type OrchChaosCtx<'a, 'b> = NetCtx<'a, 'b, ChaosOrchShard>;
+type Ctx<'a, 'b> = NetCtx<'a, 'b, OrchShard>;
 
 /// Controller: fan the current task out, no earlier than its pacing
 /// slot (so the playbook is still running when late faults land).
-fn chaos_dispatch(ctx: &mut OrchChaosCtx<'_, '_>, horizon: Nanos, cfg: std::sync::Arc<ShardedOrchestraConfig>) {
-    let ChaosOrchShard::Controller { task, resolved, .. } = ctx.state() else {
+fn dispatch(ctx: &mut Ctx<'_, '_>, plan: Arc<Plan>) {
+    let Role::Controller { task, resolved, .. } = &mut ctx.state().role else {
         unreachable!("dispatch runs on the controller shard")
     };
     let task = *task;
     *resolved = 0;
-    let slot = task_slot(horizon, cfg.tasks, task);
+    let slot = plan.pace * task as u64;
     if slot > ctx.now() {
-        ctx.schedule_at(slot, move |c| fan_out(c, task, horizon, cfg));
+        ctx.schedule_at(slot, move |c| fan_out(c, task, plan));
     } else {
-        fan_out(ctx, task, horizon, cfg);
+        fan_out(ctx, task, plan);
     }
 }
 
-fn fan_out(ctx: &mut OrchChaosCtx<'_, '_>, task: usize, horizon: Nanos, cfg: std::sync::Arc<ShardedOrchestraConfig>) {
-    for host in 1..=cfg.hosts {
-        let cfg = std::sync::Arc::clone(&cfg);
-        send_task(ctx, host, task, 0, horizon, cfg);
+fn fan_out(ctx: &mut Ctx<'_, '_>, task: usize, plan: Arc<Plan>) {
+    for host in 1..=plan.config.hosts {
+        send_task(ctx, host, task, 0, Arc::clone(&plan));
     }
 }
 
@@ -424,102 +252,92 @@ fn fan_out(ctx: &mut OrchChaosCtx<'_, '_>, task: usize, horizon: Nanos, cfg: std
 /// right after a heal event can still fail once — its shard sees the
 /// refreshed fault snapshot only after the heal's barrier — so the
 /// loop runs until the plane catches up or the attempts are spent.
-fn send_task(
-    ctx: &mut OrchChaosCtx<'_, '_>,
-    host: usize,
-    task: usize,
-    attempt: usize,
-    horizon: Nanos,
-    cfg: std::sync::Arc<ShardedOrchestraConfig>,
-) {
-    let bytes = cfg.task_bytes;
-    let retry_cfg = std::sync::Arc::clone(&cfg);
-    ctx.transfer_or(
-        host,
-        bytes,
-        move |c| {
-            if attempt > 0 {
-                let now = c.now();
-                c.state().chaos().note_recovery(now);
+fn send_task(ctx: &mut Ctx<'_, '_>, host: usize, task: usize, attempt: usize, plan: Arc<Plan>) {
+    // Boxed once per push: captured as two `u32`s and an `Arc` (the host
+    // comes back in the failure), as small as a push that cannot fail.
+    let (task32, attempt32) = (task as u32, attempt as u32);
+    ctx.transfer_or(host, plan.config.task_bytes, move |c, outcome| {
+        let (task, attempt) = (task32 as usize, attempt32 as usize);
+        match outcome {
+            Ok(()) => {
+                if attempt > 0 {
+                    let now = c.now();
+                    c.state().recovery.note_recovery(now);
+                }
+                run_module(c, task, plan);
             }
-            chaos_run_module(c, task, horizon, cfg);
-        },
-        move |c, u| {
-            c.state().chaos().note_fail(u.gave_up_at, attempt);
-            if attempt + 1 >= MAX_ATTEMPTS {
-                // Abandon the host for this task: the linear barrier
-                // must not hang on an unreachable machine.
-                c.state().chaos().lost += 1;
-                resolve_rpc(c, horizon, retry_cfg);
-                return;
+            Err(u) => {
+                c.state().recovery.note_fail(u.gave_up_at, attempt);
+                if attempt + 1 >= MAX_ATTEMPTS {
+                    // Abandon the host for this task: the linear barrier
+                    // must not hang on an unreachable machine.
+                    c.state().recovery.lost += 1;
+                    resolve_rpc(c, plan);
+                    return;
+                }
+                let host = u.dst;
+                c.schedule_in(retry_backoff(attempt), move |cc| send_task(cc, host, task, attempt + 1, plan));
             }
-            c.schedule_in(retry_backoff(attempt), move |cc| {
-                send_task(cc, host, task, attempt + 1, horizon, retry_cfg)
-            });
-        },
-    );
+        }
+    });
 }
 
-/// Host: execute the module, then ship the result back (retried).
-fn chaos_run_module(ctx: &mut OrchChaosCtx<'_, '_>, task: usize, horizon: Nanos, cfg: std::sync::Arc<ShardedOrchestraConfig>) {
+/// Host: execute the module for the hashed duration, then ship the
+/// result back to the controller.
+fn run_module(ctx: &mut Ctx<'_, '_>, task: usize, plan: Arc<Plan>) {
     let host = ctx.node();
-    let duration = module_duration(&cfg, host, task);
+    let duration = module_duration(&plan.config, host, task);
     ctx.schedule_in(duration, move |c| {
-        let ChaosOrchShard::Host { ran, busy, .. } = c.state() else {
+        let Role::Host { ran, busy, .. } = &mut c.state().role else {
             unreachable!("modules run on host shards")
         };
         *ran += 1;
         *busy += duration;
-        send_ack(c, 0, horizon, cfg);
+        send_ack(c, 0, plan);
     });
 }
 
 /// Host → controller result ack, retried with backoff.
-fn send_ack(ctx: &mut OrchChaosCtx<'_, '_>, attempt: usize, horizon: Nanos, cfg: std::sync::Arc<ShardedOrchestraConfig>) {
-    let bytes = cfg.result_bytes;
-    let retry_cfg = std::sync::Arc::clone(&cfg);
-    ctx.transfer_or(
-        CONTROLLER,
-        bytes,
-        move |ctrl| {
+fn send_ack(ctx: &mut Ctx<'_, '_>, attempt: usize, plan: Arc<Plan>) {
+    ctx.transfer_or(CONTROLLER, plan.config.result_bytes, move |c, outcome| match outcome {
+        Ok(()) => {
             if attempt > 0 {
-                let now = ctrl.now();
-                ctrl.state().chaos().note_recovery(now);
+                let now = c.now();
+                c.state().recovery.note_recovery(now);
             }
-            resolve_rpc(ctrl, horizon, cfg);
-        },
-        move |c, u| {
-            c.state().chaos().note_fail(u.gave_up_at, attempt);
+            resolve_rpc(c, plan);
+        }
+        Err(u) => {
+            c.state().recovery.note_fail(u.gave_up_at, attempt);
             if attempt + 1 >= MAX_ATTEMPTS {
-                c.state().chaos().lost += 1;
-                return; // The playbook stalls on this task — the
-                        // corruption shows up as a missing finish.
+                // The playbook stalls on this task — the corruption
+                // shows up as a missing finish.
+                c.state().recovery.lost += 1;
+                return;
             }
-            c.schedule_in(retry_backoff(attempt), move |cc| {
-                send_ack(cc, attempt + 1, horizon, retry_cfg)
-            });
-        },
-    );
+            c.schedule_in(retry_backoff(attempt), move |cc| send_ack(cc, attempt + 1, plan));
+        }
+    });
 }
 
 /// Controller: count the resolution (ack or abandoned dispatch); when
 /// every host is accounted for, record the task and release the next.
-fn resolve_rpc(ctx: &mut OrchChaosCtx<'_, '_>, horizon: Nanos, cfg: std::sync::Arc<ShardedOrchestraConfig>) {
+fn resolve_rpc(ctx: &mut Ctx<'_, '_>, plan: Arc<Plan>) {
     let now = ctx.now();
-    let ChaosOrchShard::Controller { resolved, task, task_finish, finish, .. } = ctx.state() else {
+    let Role::Controller { resolved, task, task_finish, finish } = &mut ctx.state().role else {
         unreachable!("resolutions land on the controller shard")
     };
     *resolved += 1;
-    if *resolved < cfg.hosts {
+    if *resolved < plan.config.hosts {
         return;
     }
     task_finish.push(now);
     *task += 1;
-    if *task == cfg.tasks {
+    if *task == plan.config.tasks {
         *finish = now;
         return;
     }
-    ctx.schedule_in(Nanos::ZERO, move |c| chaos_dispatch(c, horizon, cfg));
+    ctx.schedule_in(Nanos::ZERO, move |c| dispatch(c, plan));
 }
 
 #[cfg(test)]
@@ -595,23 +413,11 @@ mod tests {
         for workers in [2, 8] {
             let parallel = run_sharded_chaos(&config, workers, 13, timeline.clone());
             assert_eq!(
-                ShardedOrchestraChaosReport { workers: 1, ..parallel },
+                ShardedOrchestraReport { workers: 1, ..parallel },
                 reference,
                 "workers={workers}"
             );
         }
-    }
-
-    #[test]
-    fn chaos_run_with_empty_timeline_matches_the_healthy_world() {
-        let config = ShardedOrchestraConfig::default();
-        let healthy = run_sharded(&config, 2);
-        let chaos = run_sharded_chaos(&config, 2, 1, Vec::new());
-        assert_eq!(chaos.elapsed, healthy.elapsed);
-        assert_eq!(chaos.task_finish, healthy.task_finish);
-        assert_eq!(chaos.per_host_busy, healthy.per_host_busy);
-        assert_eq!(chaos.traffic, healthy.traffic);
-        assert_eq!(chaos.detections + chaos.recovered + chaos.lost, 0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use cluster::Cluster;
 pub use fault::{FaultPlane, PlaneCmd, Unreachable};
 pub use hardware::{Demand, PlatformSpec, ResourceDim};
 pub use netshard::{
-    recovery_ms, replay_records_serial, retry_backoff, FabricSim, NetCtx, ReplayEntry, ReplayRecord,
+    chaos_pace, replay_records_serial, retry_backoff, FabricSim, NetCtx, Recovery, ReplayEntry, ReplayRecord,
     MAX_ATTEMPTS,
 };
 pub use network::{Fabric, FabricParams, NodeTraffic, TransferDemand};

@@ -70,10 +70,10 @@ use crate::time::Nanos;
 use popper_trace::Tracer;
 use std::sync::{Arc, Mutex};
 
-type NetAction<S> = Box<dyn for<'a, 'b> FnOnce(&mut NetCtx<'a, 'b, S>) + Send>;
-
-/// Failure continuation for [`NetCtx::transfer_or`].
-type NetFailAction<S> = Box<dyn for<'a, 'b> FnOnce(&mut NetCtx<'a, 'b, S>, Unreachable) + Send>;
+/// A transfer's continuation: `Ok` on the destination shard at the
+/// completion time, `Err` on the source shard when the sender gives up.
+type NetThen<S> =
+    Box<dyn for<'a, 'b> FnOnce(&mut NetCtx<'a, 'b, S>, Result<(), Unreachable>) + Send>;
 
 /// One shard of a fabric-backed world: the node's endpoint state, its
 /// fault view, the demands admitted this epoch, and the user state.
@@ -86,13 +86,13 @@ pub struct NetShard<S> {
 
 struct PendingTransfer<S> {
     demand: TransferDemand,
-    /// Completion callback, run on the destination shard at the
-    /// transfer's completion time (`None` for loopback, which is
-    /// delivered locally at send time).
-    on_done: Option<NetAction<S>>,
-    /// Failure callback, run on the *source* shard when a
-    /// barrier-applied fault leaves the demand undeliverable.
-    on_fail: Option<NetFailAction<S>>,
+    /// The continuation (`None` for loopback, which is delivered
+    /// locally at send time).
+    then: Option<NetThen<S>>,
+    /// Whether a barrier-applied fault that leaves the demand
+    /// undeliverable runs `then` with the failure on the *source*
+    /// shard ([`NetCtx::transfer_or`]) or drops it ([`NetCtx::transfer`]).
+    observe_fail: bool,
 }
 
 /// One transfer in the core stage's replay log, in the deterministic
@@ -230,7 +230,7 @@ impl<S: Send + 'static> EpochStage<NetShard<S>> for FabricStage {
                         bytes: d.bytes,
                         sent: d.sent,
                     });
-                    if let Some(on_fail) = p.on_fail {
+                    if let (Some(then), true) = (p.then, p.observe_fail) {
                         let gave_up_at = d.sent + core.faults.master.timeout();
                         let u = Unreachable {
                             src: d.src,
@@ -239,9 +239,7 @@ impl<S: Send + 'static> EpochStage<NetShard<S>> for FabricStage {
                             gave_up_at,
                         };
                         let at = gave_up_at.max(view.now(d.src));
-                        view.schedule(d.src, at, move |ctx| {
-                            on_fail(&mut NetCtx { inner: ctx }, u)
-                        });
+                        view.schedule(d.src, at, move |ctx| then(&mut NetCtx { inner: ctx }, Err(u)));
                     }
                     continue;
                 }
@@ -267,8 +265,8 @@ impl<S: Send + 'static> EpochStage<NetShard<S>> for FabricStage {
                      latency inflation must only lengthen delays"
                 );
                 view.state(d.dst).endpoint.deliver(d.bytes);
-                if let Some(on_done) = p.on_done {
-                    view.schedule(d.dst, done, move |ctx| on_done(&mut NetCtx { inner: ctx }));
+                if let Some(then) = p.then {
+                    view.schedule(d.dst, done, move |ctx| then(&mut NetCtx { inner: ctx }, Ok(())));
                 }
             }
         }
@@ -302,13 +300,75 @@ pub fn retry_backoff(attempt: usize) -> Nanos {
     Nanos::from_millis(1 << attempt.min(5))
 }
 
-/// A chaos run's recovery time in milliseconds: from the first failed
-/// send to the last recovered one, or 0 when nothing failed or nothing
-/// recovered after the first failure.
-pub fn recovery_ms(first_fail: Option<Nanos>, last_recovery: Nanos) -> f64 {
-    match first_fail {
-        Some(f) if last_recovery > f => (last_recovery - f).0 as f64 / 1e6,
-        _ => 0.0,
+/// The start gap that spreads `n` paced starts of a chaos world (its
+/// steps, pages, tasks or jobs) over 1.25x the timeline's last event, so
+/// the workload is still running when the last fault lands. Zero for an
+/// empty timeline: the fault-free run is not paced.
+pub fn chaos_pace(timeline: &[(Nanos, PlaneCmd)], n: u64) -> Nanos {
+    let horizon = timeline.iter().map(|(at, _)| *at).max().unwrap_or(Nanos::ZERO);
+    Nanos(horizon.0 * 5 / 4 / n.max(1))
+}
+
+/// A chaos world's recovery ledger: what its sends failed and what
+/// recovered. Each shard keeps one; the report [merges](Self::merge)
+/// them in shard order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Recovery {
+    /// Send timeouts observed.
+    pub detections: u64,
+    /// Messages that failed at least once (counted at their first
+    /// failed attempt).
+    pub degraded: u64,
+    /// Messages delivered after one or more failed attempts.
+    pub recovered: u64,
+    /// Messages abandoned after [`MAX_ATTEMPTS`].
+    pub lost: u64,
+    /// The earliest failure observed.
+    pub first_fail: Option<Nanos>,
+    /// The latest recovered delivery observed.
+    pub last_recovery: Nanos,
+}
+
+impl Recovery {
+    /// Attempt number `attempt` (counting from 0) of a message failed;
+    /// the sender gave up at `at`.
+    pub fn note_fail(&mut self, at: Nanos, attempt: usize) {
+        self.detections += 1;
+        if attempt == 0 {
+            self.degraded += 1;
+        }
+        self.first_fail = Some(self.first_fail.map_or(at, |f| f.min(at)));
+    }
+
+    /// A message that had failed before was delivered at `at`.
+    pub fn note_recovery(&mut self, at: Nanos) {
+        self.recovered += 1;
+        self.last_recovery = self.last_recovery.max(at);
+    }
+
+    /// The ledger of two shards together.
+    pub fn merge(self, other: &Recovery) -> Recovery {
+        Recovery {
+            detections: self.detections + other.detections,
+            degraded: self.degraded + other.degraded,
+            recovered: self.recovered + other.recovered,
+            lost: self.lost + other.lost,
+            first_fail: match (self.first_fail, other.first_fail) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            },
+            last_recovery: self.last_recovery.max(other.last_recovery),
+        }
+    }
+
+    /// Recovery time in milliseconds: from the first failure to the
+    /// last recovered delivery, or 0 when nothing failed or nothing
+    /// recovered after the first failure.
+    pub fn recovery_ms(&self) -> f64 {
+        match self.first_fail {
+            Some(f) if self.last_recovery > f => (self.last_recovery - f).0 as f64 / 1e6,
+            _ => 0.0,
+        }
     }
 }
 
@@ -376,33 +436,32 @@ impl<S: Send + 'static> NetCtx<'_, '_, S> {
         bytes: u64,
         on_done: impl for<'x, 'y> FnOnce(&mut NetCtx<'x, 'y, S>) + Send + 'static,
     ) {
-        self.transfer_impl(dst, bytes, Box::new(on_done), None);
+        let then: NetThen<S> = Box::new(move |ctx, outcome| {
+            if outcome.is_ok() {
+                on_done(ctx)
+            }
+        });
+        self.transfer_impl(dst, bytes, then, false);
     }
 
-    /// Like [`transfer`](Self::transfer), but on an unreachable
-    /// destination `on_fail` runs on *this* shard at the time the
-    /// sender gives up (`now + timeout`), mirroring the serial fabric's
-    /// timeout charge. The failure is observed both at admission (the
-    /// plane already marks the peer unreachable) and at the epoch
-    /// barrier (a scheduled fault struck while the demand was in
-    /// flight; the sender's admission charges stand).
+    /// Like [`transfer`](Self::transfer), but `then` also hears of a
+    /// failure: it runs with `Ok(())` on the destination shard at the
+    /// completion time, or with `Err(Unreachable)` on *this* shard at
+    /// the time the sender gives up (`now + timeout`, mirroring the
+    /// serial fabric's timeout charge). The failure is observed both at
+    /// admission (the plane already marks the peer unreachable) and at
+    /// the epoch barrier (a scheduled fault struck while the demand was
+    /// in flight; the sender's admission charges stand).
     pub fn transfer_or(
         &mut self,
         dst: usize,
         bytes: u64,
-        on_done: impl for<'x, 'y> FnOnce(&mut NetCtx<'x, 'y, S>) + Send + 'static,
-        on_fail: impl for<'x, 'y> FnOnce(&mut NetCtx<'x, 'y, S>, Unreachable) + Send + 'static,
+        then: impl for<'x, 'y> FnOnce(&mut NetCtx<'x, 'y, S>, Result<(), Unreachable>) + Send + 'static,
     ) {
-        self.transfer_impl(dst, bytes, Box::new(on_done), Some(Box::new(on_fail)));
+        self.transfer_impl(dst, bytes, Box::new(then), true);
     }
 
-    fn transfer_impl(
-        &mut self,
-        dst: usize,
-        bytes: u64,
-        on_done: NetAction<S>,
-        on_fail: Option<NetFailAction<S>>,
-    ) {
+    fn transfer_impl(&mut self, dst: usize, bytes: u64, then: NetThen<S>, observe_fail: bool) {
         assert!(dst < self.inner.shards(), "destination node {dst} out of range");
         let now = self.inner.now();
         let admitted = {
@@ -413,21 +472,21 @@ impl<S: Send + 'static> NetCtx<'_, '_, S> {
             Ok(demand) if demand.is_loopback() => {
                 let shard = self.inner.state();
                 shard.endpoint.deliver(bytes);
-                shard.pending.push(PendingTransfer { demand, on_done: None, on_fail: None });
+                shard.pending.push(PendingTransfer { demand, then: None, observe_fail: false });
                 // Locality is free: deliver at the current time, after
                 // the in-flight event finishes.
-                self.schedule_in(Nanos::ZERO, move |ctx| on_done(ctx));
+                self.schedule_in(Nanos::ZERO, move |ctx| then(ctx, Ok(())));
             }
             Ok(demand) => {
                 self.inner
                     .state()
                     .pending
-                    .push(PendingTransfer { demand, on_done: Some(on_done), on_fail });
+                    .push(PendingTransfer { demand, then: Some(then), observe_fail });
             }
             Err(u) => {
-                if let Some(on_fail) = on_fail {
+                if observe_fail {
                     self.inner
-                        .schedule_at(u.gave_up_at, move |ctx| on_fail(&mut NetCtx { inner: ctx }, u));
+                        .schedule_at(u.gave_up_at, move |ctx| then(&mut NetCtx { inner: ctx }, Err(u)));
                 }
             }
         }
@@ -707,16 +766,12 @@ mod tests {
         let mut sim: FabricSim<Vec<Nanos>> =
             FabricSim::with_faults(vec![Vec::new(); 2], 10.0, Nanos::from_micros(10), 1.0, faults.clone());
         sim.schedule(0, Nanos(100), move |ctx| {
-            ctx.transfer_or(
-                1,
-                4096,
-                |_| panic!("delivered to a crashed node"),
-                |ctx, u| {
-                    let t = ctx.now();
-                    assert_eq!(u.crashed, Some(1));
-                    ctx.state().push(t);
-                },
-            );
+            ctx.transfer_or(1, 4096, |ctx, outcome| {
+                let u = outcome.expect_err("delivered to a crashed node");
+                let t = ctx.now();
+                assert_eq!(u.crashed, Some(1));
+                ctx.state().push(t);
+            });
         });
         sim.run();
         assert_eq!(sim.state(0), &vec![Nanos(100) + faults.timeout()]);
@@ -729,15 +784,13 @@ mod tests {
     /// barrier and reached this shard's plane snapshot.
     fn retry(c: &mut NetCtx<'_, '_, Vec<(&'static str, Nanos)>>, attempt: usize) {
         assert!(attempt < 8, "retry never succeeded");
-        c.transfer_or(
-            1,
-            4096,
-            |cc| {
+        c.transfer_or(1, 4096, move |cc, outcome| match outcome {
+            Ok(()) => {
                 let t = cc.now();
                 cc.state().push(("retried", t));
-            },
-            move |cc, _| retry(cc, attempt + 1),
-        );
+            }
+            Err(_) => retry(cc, attempt + 1),
+        });
     }
 
     #[test]
@@ -763,17 +816,13 @@ mod tests {
                 });
             });
             sim.schedule(0, Nanos::from_micros(60), |ctx| {
-                ctx.transfer_or(
-                    1,
-                    4096,
-                    |_| panic!("delivered through a crash"),
-                    |c, u| {
-                        assert_eq!(u.crashed, Some(1));
-                        let t = c.now();
-                        c.state().push(("failed", t));
-                        retry(c, 0);
-                    },
-                );
+                ctx.transfer_or(1, 4096, |c, outcome| {
+                    let u = outcome.expect_err("delivered through a crash");
+                    assert_eq!(u.crashed, Some(1));
+                    let t = c.now();
+                    c.state().push(("failed", t));
+                    retry(c, 0);
+                });
             });
             sim.run_sharded(workers);
             sim
@@ -805,6 +854,20 @@ mod tests {
             assert_eq!(parallel.state(0), reference.state(0));
             assert_eq!(parallel.state(1), reference.state(1));
         }
+    }
+
+    #[test]
+    fn recovery_ledgers_merge_to_the_earliest_failure_and_latest_recovery() {
+        let mut sender = Recovery::default();
+        sender.note_fail(Nanos(300), 0);
+        sender.note_fail(Nanos(100), 1);
+        let mut receiver = Recovery::default();
+        receiver.note_recovery(Nanos(2_000_100));
+        assert_eq!(sender.recovery_ms(), 0.0, "nothing recovered on the sender");
+        let all = Recovery::default().merge(&sender).merge(&receiver);
+        assert_eq!((all.detections, all.degraded, all.recovered), (2, 1, 1));
+        assert_eq!(all.first_fail, Some(Nanos(100)));
+        assert_eq!(all.recovery_ms(), 2.0);
     }
 
     #[test]

@@ -144,16 +144,14 @@ fn scheduled_faults_with_loss_replay_serially_and_are_worker_invariant() {
         // retrying with backoff when the crash swallows one.
         fn send(ctx: &mut popper_sim::NetCtx<'_, '_, u64>, round: u64, attempt: u32) {
             assert!(attempt < 8, "retries must converge after the restart");
-            ctx.transfer_or(
-                0,
-                100_000 + round * 7_000,
-                |c| *c.state() += 1,
-                move |c, _| {
+            ctx.transfer_or(0, 100_000 + round * 7_000, move |c, outcome| match outcome {
+                Ok(()) => *c.state() += 1,
+                Err(_) => {
                     c.schedule_in(Nanos::from_micros(50 << attempt), move |cc| {
                         send(cc, round, attempt + 1)
                     });
-                },
-            );
+                }
+            });
         }
         let mut sim = FabricSim::new(vec![0u64; 5], LINK_GBIT, LATENCY, OVERSUB);
         sim.set_fault_timeline(41, timeline());
@@ -234,12 +232,7 @@ fn flapping_partition_healing_on_an_epoch_boundary_applies_next_barrier() {
         }
         let mut probe = |tag: &'static str, at: u64| {
             sim.schedule(0, Nanos(at), move |ctx| {
-                ctx.transfer_or(
-                    1,
-                    4096,
-                    move |c| c.state().push((tag, true)),
-                    move |c, _| c.state().push((tag, false)),
-                );
+                ctx.transfer_or(1, 4096, move |c, outcome| c.state().push((tag, outcome.is_ok())));
             });
         };
         probe("in-flight-at-first-barrier", 1_000); // killed when the partition applies
@@ -381,8 +374,10 @@ fn own_ci_config_has_shard_determinism_jobs() {
         assert!(config.jobs.iter().any(|j| j.name == job), "missing CI job '{job}'");
     }
     // Every step names something that exists: a `--test X` target is a
-    // file under tests/, a bench is a file of popper-bench (the root
-    // package has no bench targets, so `-p popper-bench` is required).
+    // file under tests/ and its name filter, if any, matches a `fn` in
+    // it (a filter that matches nothing runs zero tests and passes), a
+    // bench is a file of popper-bench (the root package has no bench
+    // targets, so `-p popper-bench` is required).
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     fn target_after<'a>(words: &[&'a str], flag: &str) -> Option<&'a str> {
         let at = words.iter().position(|w| *w == flag)?;
@@ -397,7 +392,19 @@ fn own_ci_config_has_shard_determinism_jobs() {
         for step in &job.steps {
             let words: Vec<&str> = step.split_whitespace().collect();
             if let Some(test) = target_after(&words, "--test") {
-                assert!(root.join("tests").join(format!("{test}.rs")).is_file(), "'{step}': no tests/{test}.rs");
+                let file = root.join("tests").join(format!("{test}.rs"));
+                assert!(file.is_file(), "'{step}': no tests/{test}.rs");
+                let filter = words.iter().position(|w| *w == "--test").and_then(|at| words.get(at + 2));
+                if let Some(filter) = filter.filter(|w| !w.starts_with('-')) {
+                    let source = std::fs::read_to_string(&file).unwrap();
+                    let names = source.split("fn ").skip(1).filter_map(|rest| {
+                        rest.split(|c: char| !(c.is_alphanumeric() || c == '_')).next()
+                    });
+                    assert!(
+                        names.into_iter().any(|name| name.contains(filter)),
+                        "'{step}': filter '{filter}' matches no fn in tests/{test}.rs"
+                    );
+                }
             }
             if words.starts_with(&["cargo", "bench"]) {
                 assert_eq!(target_after(&words, "-p"), Some("popper-bench"), "'{step}' must name -p popper-bench");
@@ -431,7 +438,7 @@ fn chaos_gassyfs_world_has_identical_trace_bytes_at_1_2_8_workers() {
             popper_gassyfs::shardworld::run_sharded_chaos(&config, &platform, workers, 7, timeline())
         });
         assert_eq!(
-            popper_gassyfs::ShardedGassyChaosReport { workers: 1, ..run },
+            popper_gassyfs::ShardedGassyReport { workers: 1, ..run },
             reference,
             "workers={workers}"
         );
@@ -456,7 +463,7 @@ fn chaos_orchestra_world_has_identical_trace_bytes_at_1_2_8_workers() {
         let (run, trace) =
             traced(|| popper_orchestra::shardworld::run_sharded_chaos(&config, workers, 13, timeline()));
         assert_eq!(
-            popper_orchestra::ShardedOrchestraChaosReport { workers: 1, ..run },
+            popper_orchestra::ShardedOrchestraReport { workers: 1, ..run },
             reference,
             "workers={workers}"
         );
@@ -493,14 +500,14 @@ fn chaos_lulesh_and_farm_worlds_have_identical_trace_bytes_at_1_2_8_workers() {
         let (run, trace) =
             traced(|| popper_minimpi::run_sharded_chaos(&app, &platform, workers, 11, lulesh_timeline()));
         assert_eq!(
-            popper_minimpi::ShardedLuleshChaosRun { workers: 1, ..run },
+            popper_minimpi::ShardedLuleshRun { workers: 1, ..run },
             lulesh_ref,
             "workers={workers}"
         );
         assert_eq!(trace, lulesh_trace, "lulesh chaos trace bytes, workers={workers}");
         let (run, trace) = traced(|| popper_farm::simulate_chaos(&farm, workers, 17, farm_timeline()));
         assert_eq!(
-            popper_farm::FarmChaosSimReport { workers: 1, ..run },
+            popper_farm::FarmSimReport { workers: 1, ..run },
             farm_ref,
             "workers={workers}"
         );

@@ -2,7 +2,8 @@
 //!
 //! The `regenerate_goldens` test re-records the committed artifacts of
 //! one experiment per lifecycle mode (`run`, `trace`, `chaos`) into
-//! `tests/golden/`. It is `#[ignore]`d: the goldens pin the artifact
+//! `tests/golden/`, plus the `run` and `chaos` artifacts of each of the
+//! four sharded runners into `tests/golden/sharded/`. It is `#[ignore]`d: the goldens pin the artifact
 //! bytes across the staged-pipeline refactor, so they must only be
 //! re-recorded deliberately (`cargo test --test golden_regen -- --ignored`)
 //! when an *intentional* artifact change lands.
@@ -11,6 +12,9 @@ use popper::cli::run;
 use popper::core::{templates::find_template, ExperimentEngine, PopperRepo};
 use std::fs;
 use std::path::{Path, PathBuf};
+
+#[path = "support/sharded_worlds.rs"]
+mod sharded_worlds;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -71,4 +75,14 @@ fn regenerate_goldens() {
         pin(&dir, name, &fs::read_to_string(cli.join("experiments/g").join(name)).unwrap());
     }
     fs::remove_dir_all(&cli).ok();
+
+    // -- the sharded runners: `run` and `chaos` of each world at one
+    // worker (see tests/support/sharded_worlds.rs).
+    for (world, vars) in sharded_worlds::WORLDS {
+        for (artifact, bytes) in sharded_worlds::artifacts(world, vars) {
+            let path = sharded_worlds::golden_path(world, &artifact);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, bytes).unwrap();
+        }
+    }
 }

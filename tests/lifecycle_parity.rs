@@ -7,7 +7,9 @@
 //!
 //! * committed artifacts are byte-identical to the pre-refactor
 //!   drivers' output, pinned in `tests/golden/` (one experiment per
-//!   mode; wall-domain `trace.json` is checked structurally instead);
+//!   mode; wall-domain `trace.json` is checked structurally instead),
+//!   and so are the four sharded runners' `run` and `chaos` artifacts
+//!   (`tests/golden/sharded/`);
 //! * a failing stage leaves **no partial commit** in any mode — the
 //!   `ArtifactSet` buffers artifact bytes in memory and the record
 //!   stage commits them as one atomic unit, so an error mid-record
@@ -17,6 +19,9 @@ use popper::cli::run;
 use popper::core::{templates::find_template, ExperimentEngine, PopperRepo};
 use std::fs;
 use std::path::{Path, PathBuf};
+
+#[path = "support/sharded_worlds.rs"]
+mod sharded_worlds;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -113,6 +118,21 @@ fn chaos_mode_artifacts_match_pre_refactor_goldens() {
     let status = run(&["status"], &dir).unwrap();
     assert!(status.contains("working tree clean"), "{status}");
     fs::remove_dir_all(&dir).ok();
+}
+
+/// The four sharded runners' `run` and `chaos` artifacts at one worker
+/// match the bytes pinned in `tests/golden/sharded/`.
+#[test]
+fn sharded_runner_artifacts_match_goldens() {
+    for (world, vars) in sharded_worlds::WORLDS {
+        for (artifact, bytes) in sharded_worlds::artifacts(world, vars) {
+            let path = sharded_worlds::golden_path(world, &artifact);
+            let pinned = fs::read_to_string(&path).unwrap_or_else(|e| {
+                panic!("missing golden {path:?} (regenerate with `cargo test --test golden_regen -- --ignored`): {e}")
+            });
+            assert_eq!(bytes, pinned, "{world} {artifact} drifted from the pinned bytes");
+        }
+    }
 }
 
 // ------------------------------------------------- commit atomicity
